@@ -61,6 +61,19 @@ def brute_roc(d: AuditDataset):
     return points
 
 
+def scan_tpr_at_fpr(d: AuditDataset, target_fpr: float):
+    """Reference for tpr_at_fpr: scan the whole threshold sweep in order.
+
+    Keeps the first point with the largest tpr among those with
+    fpr <= target_fpr, as (threshold, canary_hits, reference_hits).
+    """
+    best = None
+    for t, ch, rh in brute_roc(d):
+        if rh / d.n <= target_fpr and (best is None or ch / d.m > best[1] / d.m):
+            best = (t, ch, rh)
+    return best
+
+
 def binom_cdf(k: int, n: int, p: float) -> float:
     """P[Bin(n, p) <= k] by exact term summation."""
     if p <= 0.0:

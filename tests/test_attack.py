@@ -12,7 +12,7 @@ from canaudit import (
     tpr_at_fpr,
 )
 
-from conftest import brute_roc, make_dataset, random_instance
+from conftest import brute_roc, make_dataset, random_instance, scan_tpr_at_fpr
 
 
 def test_threshold_below_everything():
@@ -117,6 +117,21 @@ def test_tpr_at_fpr_achieved_granularity():
         mi = tpr_at_fpr(d, 0.1)
         assert mi.fpr in (0.0, 0.1)
         assert mi.fpr <= 0.1
+
+
+def test_tpr_at_fpr_matches_roc_scan():
+    # targets on, and one ulp either side of, the achievable rates k/n
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        d = random_instance(rng, tie_prob=0.8)
+        targets = {0.0, 1.0}
+        for k in rng.integers(0, d.n + 1, size=3):
+            at = float(k) / d.n
+            targets |= {at, float(np.nextafter(at, -1.0)), float(np.nextafter(at, 2.0))}
+        for target in sorted(t for t in targets if 0.0 <= t <= 1.0):
+            mi = tpr_at_fpr(d, target)
+            got = (mi.threshold, mi.canary_hits, mi.reference_hits)
+            assert got == scan_tpr_at_fpr(d, target)
 
 
 def test_tpr_at_fpr_validation():

@@ -140,6 +140,86 @@ def test_round_trip_identity(format):
         assert parse_dataset(text, format) == d
 
 
+# Every diagnostic ingest can raise, pinned to the byte: (format, input, message).
+ERROR_CASES = [
+    ("csv", b"", "empty file: missing CSV header"),
+    ("csv", "loss,role\n1.0,canary\n",
+     "header: expected leading columns role,loss, got ['loss', 'role']"),
+    ("csv", "role,loss,weight\ncanary,1.0,2\n", "header: unknown column 'weight'"),
+    ("csv", "role,loss,id,id\ncanary,1.0,a,b\n",
+     "header: duplicate columns in ['role', 'loss', 'id', 'id']"),
+    ("csv", "role,loss\ncanary,1.0\nreference\n", "line 3: expected 2 fields, got 1"),
+    ("csv", "role,loss\nholdout,1.0\n", "line 2: unknown role 'holdout'"),
+    ("csv", "role,loss\ncanary,abc\n", "line 2: malformed loss 'abc'"),
+    ("csv", "role,loss\ncanary,2.5\ncanary,NaN\nreference,1.0\n",
+     "line 3: non-finite loss 'NaN'"),
+    ("csv", "role,loss\ncanary,-inf\nreference,1.0\n", "line 2: non-finite loss '-inf'"),
+    ("csv", "role,loss,replications\ncanary,1.0,x\nreference,2.0,\n",
+     "line 2: malformed replications 'x'"),
+    ("csv", "role,loss,replications\ncanary,1.0,0\nreference,2.0,1\n",
+     "line 2: replications must be >= 1, got 0"),
+    ("csv", "role,loss,replications\ncanary,1.0,2\nreference,2.0,2\n",
+     "line 3: references must have replications = 1, got 2"),
+    ("csv", "role,loss\nreference,1.0\n",
+     "dataset has no canary records (m >= 1 required)"),
+    ("csv", "role,loss\ncanary,1.0\n",
+     "dataset has no reference records (n >= 1 required)"),
+    ("csv", "role,loss,replications\ncanary,1.0,2\ncanary,2.0,3\nreference,0.5,\n",
+     "mixed canary replication counts [2, 3]; "
+     "all canaries must share one replication count"),
+    # emptiness is reported before mixed replications, line errors before both
+    ("csv", "role,loss,replications\ncanary,1.0,2\ncanary,2.0,3\n",
+     "dataset has no reference records (n >= 1 required)"),
+    ("csv", "role,loss,replications\ncanary,1.0,2\ncanary,2.0,3\nreference,x,\n",
+     "line 4: malformed loss 'x'"),
+    ("csv", b"role,loss\ncanary,\xff\n",
+     "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 17: "
+     "invalid start byte"),
+    ("jsonl", '{"role": "canary", "loss": 1.0}\n{oops',
+     "line 2: malformed JSON (Expecting property name enclosed in double quotes)"),
+    ("jsonl", "[1, 2]", "line 1: expected a JSON object, got [1, 2]"),
+    ("jsonl", '{"role": "canary", "loss": 1.0, "weight": 2}',
+     "line 1: unknown keys ['weight']"),
+    ("jsonl", '{"role": "canary"}', "line 1: missing required keys 'role' and 'loss'"),
+    ("jsonl", '{"role": 1, "loss": 1.0}', "line 1: role must be a string, got 1"),
+    ("jsonl", '{"role": "holdout", "loss": 1.0}', "line 1: unknown role 'holdout'"),
+    ("jsonl", '{"role": "canary", "loss": true}', "line 1: loss must be a number, got True"),
+    ("jsonl", '{"role": "canary", "loss": "abc"}', "line 1: malformed loss 'abc'"),
+    ("jsonl", '{"role": "canary", "loss": null}', "line 1: malformed loss None"),
+    ("jsonl", '{"role": "canary", "loss": NaN}', "line 1: non-finite loss nan"),
+    ("jsonl", '{"role": "canary", "loss": 1e400}', "line 1: non-finite loss inf"),
+    ("jsonl", '{"role": "canary", "loss": 1.0, "id": 5}', "line 1: id must be a string, got 5"),
+    ("jsonl", '{"role": "canary", "loss": 1.0, "replications": true}',
+     "line 1: replications must be an integer, got True"),
+    ("jsonl", '{"role": "canary", "loss": 1.0, "replications": "x"}',
+     "line 1: malformed replications 'x'"),
+    ("jsonl", '{"role": "canary", "loss": 1.0, "replications": 0}',
+     "line 1: replications must be >= 1, got 0"),
+    ("jsonl", '{"role": "canary", "loss": 1.0}\n'
+              '{"role": "reference", "loss": 2.0, "replications": 2}',
+     "line 2: references must have replications = 1, got 2"),
+    ("jsonl", '{"role": "reference", "loss": 1.0}',
+     "dataset has no canary records (m >= 1 required)"),
+    ("jsonl", '\n{"role": "canary", "loss": 1.0}\n',
+     "dataset has no reference records (n >= 1 required)"),
+    ("jsonl", '{"role": "canary", "loss": 1.0, "replications": 2}\n'
+              '{"role": "canary", "loss": 2.0, "replications": 3}\n'
+              '{"role": "reference", "loss": 0.5}',
+     "mixed canary replication counts [2, 3]; "
+     "all canaries must share one replication count"),
+    ("jsonl", b'{"role": "canary", "loss": 1.0, "id": "\xc3"}',
+     "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xc3 in position 39: "
+     "invalid continuation byte"),
+]
+
+
+@pytest.mark.parametrize("format,raw,message", ERROR_CASES)
+def test_error_messages_are_pinned(format, raw, message):
+    with pytest.raises(DatasetError) as exc:
+        parse_dataset(raw, format)
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_unknown_format():
     with pytest.raises(ValueError, match="format"):
         parse_dataset("role,loss\n", "tsv")
