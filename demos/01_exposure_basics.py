@@ -9,8 +9,7 @@ Run: python demos/01_exposure_basics.py
 
 import numpy as np
 
-from canaudit import exposure_all, exposure_of, rank
-from canaudit.ingest import AuditDataset, LossRecord
+from canaudit import AuditDataset, exposure_all, exposure_of, rank
 
 
 def main():
@@ -30,18 +29,17 @@ def main():
     print()
     print("=== a small audit dataset ===")
     # Three canaries: one memorized (low loss), two unremarkable.
-    canaries = [
-        LossRecord(role="canary", loss=-2.7, id="memorized"),
-        LossRecord(role="canary", loss=0.1, id="typical-a"),
-        LossRecord(role="canary", loss=0.4, id="typical-b"),
-    ]
-    refs = tuple(LossRecord(role="reference", loss=float(x)) for x in references)
-    d = AuditDataset(canaries=tuple(canaries), references=refs)
+    d = AuditDataset(
+        canary_losses=[-2.7, 0.1, 0.4],
+        reference_losses=references,
+        canary_ids=("memorized", "typical-a", "typical-b"),
+    )
 
     report = exposure_all(d)
-    for rec, res in zip(d.canaries, report.per_canary):
-        print(f"  {rec.id:<10} loss {rec.loss:+.2f}  rank {res.rank:>5}  "
-              f"exposure {res.exposure:+.4f}  induced fpr {res.empirical_fpr:.4f}")
+    for rec_id, loss, r, e, fpr in zip(d.canary_ids, d.canary_losses, report.ranks,
+                                       report.exposures, report.empirical_fprs):
+        print(f"  {rec_id:<10} loss {loss:+.2f}  rank {r:>5}  "
+              f"exposure {e:+.4f}  induced fpr {fpr:.4f}")
     print(f"  mean exposure   {report.mean_exposure:.4f}")
     print(f"  median exposure {report.quantile_exposures[0.5]:.4f}")
     print()

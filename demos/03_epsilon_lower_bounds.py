@@ -10,8 +10,7 @@ count (group privacy).
 Run: python demos/03_epsilon_lower_bounds.py
 """
 
-from canaudit import GaussianShiftModel, audit_pipeline, simulate
-from canaudit.ingest import AuditDataset, LossRecord
+from canaudit import AuditDataset, GaussianShiftModel, audit_pipeline, simulate
 
 
 def show(result, title):
@@ -50,11 +49,9 @@ def main():
     # certified per-example epsilon divides by the duplication count.
     strong = simulate(GaussianShiftModel(mu=4.0, sigma=1.0, m=1000, n=1000, seed=2))
     duplicated = AuditDataset(
-        canaries=tuple(
-            LossRecord(role="canary", loss=rec.loss, replications=8)
-            for rec in strong.canaries
-        ),
-        references=strong.references,
+        canary_losses=strong.canary_losses,
+        reference_losses=strong.reference_losses,
+        replications=8,
     )
     show(audit_pipeline(duplicated), "canaries duplicated 8x in training")
 

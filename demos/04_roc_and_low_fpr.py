@@ -29,7 +29,7 @@ def main():
     lines = roc_to_csv(points).splitlines()
     for line in lines[:6]:
         print(f"  {line}")
-    print(f"  ... {len(lines) - 1} operating points total")
+    print(f"  ... {len(points)} operating points total")
 
     print()
     print("=== best attack at capped false positive rates ===")

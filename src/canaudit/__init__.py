@@ -4,13 +4,14 @@ Computes exposure statistics from canary/reference losses, compares them
 against random-guessing baselines, and converts threshold
 membership-inference results into confidence-corrected epsilon-DP lower
 bounds. Losses are produced elsewhere; this library consumes them from
-CSV/JSONL files or in-memory records.
+CSV/JSONL files or in-memory numpy arrays.
 """
 
 __version__ = "0.1.0"
 
 from .attack import (
     MIResult,
+    RocCurve,
     median_threshold,
     roc,
     roc_to_csv,
@@ -39,7 +40,6 @@ from .baseline import (
 from .exposure import (
     TIE_POLICIES,
     ExposureReport,
-    ExposureResult,
     exposure_all,
     exposure_of,
     exposure_quantile,
@@ -48,7 +48,6 @@ from .exposure import (
 from .ingest import (
     AuditDataset,
     DatasetError,
-    LossRecord,
     dataset_summary,
     parse_dataset,
     serialize_dataset,
@@ -64,11 +63,10 @@ __all__ = [
     "DatasetError",
     "EpsilonBound",
     "ExposureReport",
-    "ExposureResult",
     "GaussianShiftModel",
     "INDEPENDENCE_NOTICE",
-    "LossRecord",
     "MIResult",
+    "RocCurve",
     "TIE_POLICIES",
     "analytic_operating_point",
     "audit_pipeline",

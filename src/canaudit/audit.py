@@ -23,7 +23,7 @@ certified per-example epsilon divides the raw bound by k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.special import betaincinv
 
@@ -144,8 +144,13 @@ def clopper_pearson(k: int, trials: int, alpha: float, side: str) -> float:
     raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
-def _confident_interval(mi: MIResult, confidence: float) -> tuple[float, float, float]:
-    """(tpr_lower, fpr_upper, floored confident bound) for one attack result."""
+def epsilon_confident(d: AuditDataset, mi: MIResult, confidence: float) -> EpsilonBound:
+    """Confidence-corrected epsilon bound for one attack operating point.
+
+    Splits the error budget 1 - confidence evenly between a lower
+    Clopper-Pearson bound on TPR and an upper one on FPR; the certified
+    bound is max(0, ln(tpr_lower / fpr_upper)).
+    """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     alpha = 1.0 - confidence
@@ -156,18 +161,6 @@ def _confident_interval(mi: MIResult, confidence: float) -> tuple[float, float, 
         corrected = 0.0
     else:
         corrected = max(0.0, math.log(tpr_lower / fpr_upper))
-    return tpr_lower, fpr_upper, corrected
-
-
-def epsilon_confident(d: AuditDataset, mi: MIResult, confidence: float) -> EpsilonBound:
-    """Confidence-corrected epsilon bound for one attack operating point.
-
-    Splits the error budget 1 - confidence evenly between a lower
-    Clopper-Pearson bound on TPR and an upper one on FPR; the certified
-    bound is max(0, ln(tpr_lower / fpr_upper)).
-    """
-    tpr_lower, fpr_upper, corrected = _confident_interval(mi, confidence)
-    alpha = 1.0 - confidence
     return EpsilonBound(
         point_estimate=epsilon_point(mi.tpr, mi.fpr),
         confident_lower_bound=corrected,
@@ -193,16 +186,10 @@ def group_privacy_adjust(epsilon: float, replications: int) -> float:
 
 def _per_example(bound: EpsilonBound) -> EpsilonBound:
     k = bound.replications
-    point = bound.point_estimate / k  # signed diagnostics divide too
-    return EpsilonBound(
-        point_estimate=point,
+    return replace(
+        bound,
+        point_estimate=bound.point_estimate / k,  # signed diagnostics divide too
         confident_lower_bound=group_privacy_adjust(bound.confident_lower_bound, k),
-        confidence=bound.confidence,
-        alpha_split=bound.alpha_split,
-        tpr_lower=bound.tpr_lower,
-        fpr_upper=bound.fpr_upper,
-        source=bound.source,
-        replications=k,
         per_example=True,
     )
 
@@ -226,7 +213,6 @@ def audit_pipeline(
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     report = exposure_all(d, tie_policy)
-    alpha = 1.0 - confidence
     outcomes = []
     for op in operating_points:
         warning = None
@@ -261,17 +247,8 @@ def audit_pipeline(
                 f"operating point must be 'median' or an fpr target in [0, 1], got {op!r}"
             )
 
-        tpr_lower, fpr_upper, corrected = _confident_interval(mi, confidence)
-        bound = EpsilonBound(
-            point_estimate=point,
-            confident_lower_bound=corrected,
-            confidence=confidence,
-            alpha_split=(alpha / 2.0, alpha / 2.0),
-            tpr_lower=tpr_lower,
-            fpr_upper=fpr_upper,
-            source=source,
-            replications=d.replications,
-            per_example=False,
+        bound = replace(
+            epsilon_confident(d, mi, confidence), point_estimate=point, source=source
         )
         per_example_bound = _per_example(bound) if d.replications > 1 else None
         outcomes.append(

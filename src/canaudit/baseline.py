@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exposure import exposure_quantile
+
 LN2 = math.log(2.0)
 
 _MC_SUMMARY_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -79,14 +81,6 @@ def baseline_quantile_exposure(q: float) -> float:
     return -math.log2(1.0 - q)
 
 
-def _statistic_value(exposures: np.ndarray, statistic: str, q: float | None) -> float:
-    if statistic == "mean":
-        return float(exposures.mean())
-    # nearest-rank lower quantile, matching the exposure report convention
-    values = np.sort(exposures)
-    return float(values[math.ceil(q * values.size) - 1])
-
-
 def _validate_statistic(statistic: str, q: float | None) -> None:
     if statistic not in ("mean", "quantile"):
         raise ValueError(f"statistic must be 'mean' or 'quantile', got {statistic!r}")
@@ -130,7 +124,8 @@ def _monte_carlo_stats(
         ranks = rng.integers(1, n + 2, size=m)
         exposures = log2_n - np.log2(ranks)
         for s, (statistic, q) in enumerate(specs):
-            stats[s, t] = _statistic_value(exposures, statistic, q)
+            stats[s, t] = (float(exposures.mean()) if statistic == "mean"
+                           else exposure_quantile(exposures, q))
 
     summaries = []
     for s, (statistic, q) in enumerate(specs):

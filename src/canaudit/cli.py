@@ -101,15 +101,12 @@ def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _positive_int(parser, "--m", args.m)
-    _positive_int(parser, "--n", args.n)
-    if args.mu < 0:
-        parser.error(f"--mu must be >= 0, got {args.mu}")
-    if args.sigma <= 0:
-        parser.error(f"--sigma must be > 0, got {args.sigma}")
-    model = GaussianShiftModel(
-        mu=args.mu, sigma=args.sigma, m=args.m, n=args.n, seed=args.seed
-    )
+    try:
+        model = GaussianShiftModel(
+            mu=args.mu, sigma=args.sigma, m=args.m, n=args.n, seed=args.seed
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     d = simulate(model)
     text = serialize_dataset(d, args.format)
     try:

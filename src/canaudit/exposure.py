@@ -13,6 +13,9 @@ Ties between a canary loss and reference losses are resolved by policy:
 ``pessimistic`` counts tied references as smaller (inflating rank and
 deflating exposure, so leakage is never over-claimed), ``optimistic``
 counts them as larger. Pessimistic is the default everywhere.
+
+``exposure_all`` returns every canary's rank and exposure as arrays, in
+canary order.
 """
 
 from __future__ import annotations
@@ -34,33 +37,23 @@ def _searchsorted_side(tie_policy: str) -> str:
     return "right" if tie_policy == "pessimistic" else "left"
 
 
-@dataclass(frozen=True)
-class ExposureResult:
-    """Rank, exposure (bits), and induced false-positive rate of one canary.
-
-    ``empirical_fpr`` is (rank - 1)/n: the fraction of references that a
-    loss-threshold membership test at this canary's loss would classify
-    as training members.
-    """
-
-    canary_index: int
-    rank: int
-    exposure: float
-    empirical_fpr: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExposureReport:
-    """Per-canary exposures plus aggregate statistics for one dataset."""
+    """Per-canary ranks and exposures (bits), in canary order, plus aggregates."""
 
-    per_canary: tuple[ExposureResult, ...]
+    ranks: np.ndarray
+    exposures: np.ndarray
     mean_exposure: float
     quantile_exposures: dict[float, float]
     n: int
     m: int
 
-    def exposures(self) -> np.ndarray:
-        return np.array([r.exposure for r in self.per_canary], dtype=np.float64)
+    @property
+    def empirical_fprs(self) -> np.ndarray:
+        """(rank - 1)/n per canary: the fraction of references that a
+        loss-threshold membership test at that canary's loss would
+        classify as training members."""
+        return (self.ranks - 1) / self.n
 
 
 def rank(loss: float, reference_losses, tie_policy: str = "pessimistic") -> int:
@@ -106,23 +99,13 @@ def exposure_all(d: AuditDataset, tie_policy: str = "pessimistic") -> ExposureRe
     deterministic and independent of any internal parallelism.
     """
     side = _searchsorted_side(tie_policy)
-    refs = np.sort(d.reference_losses())
-    losses = d.canary_losses()
-    ranks = np.searchsorted(refs, losses, side=side) + 1
+    refs = d.sorted_reference_losses
+    ranks = np.searchsorted(refs, d.canary_losses, side=side) + 1
     exposures = np.log2(refs.size) - np.log2(ranks)
-    fprs = (ranks - 1) / refs.size
-    per_canary = tuple(
-        ExposureResult(
-            canary_index=i,
-            rank=int(ranks[i]),
-            exposure=float(exposures[i]),
-            empirical_fpr=float(fprs[i]),
-        )
-        for i in range(losses.size)
-    )
     quantiles = {q: exposure_quantile(exposures, q) for q in (0.5, 0.75)}
     return ExposureReport(
-        per_canary=per_canary,
+        ranks=ranks,
+        exposures=exposures,
         mean_exposure=float(exposures.mean()),
         quantile_exposures=quantiles,
         n=d.n,

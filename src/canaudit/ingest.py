@@ -5,6 +5,8 @@ loss value. Losses are opaque monotone scores: the library only ever uses
 their ordering, so any score where lower means "more probable under the
 model" works (negative log-likelihood in nats, perplexity, ...).
 
+In memory a dataset is columnar: one float64 loss array per role, optional
+per-role ids, and the single replication count all canaries share.
 Duplicated canaries appear once, with a ``replications`` count, rather than
 as repeated rows; repeating rows would inflate the canary count m.
 """
@@ -15,7 +17,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
+from functools import cached_property
 
 import numpy as np
 
@@ -27,90 +30,109 @@ _JSONL_KEYS = frozenset(("role", "loss", "id", "replications"))
 
 
 class DatasetError(ValueError):
-    """A loss file or record set violates the dataset contract."""
+    """A loss file or in-memory dataset violates the dataset contract."""
 
 
-@dataclass(frozen=True)
-class LossRecord:
-    """One example's role, loss, optional id, and canary replication count."""
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
-    role: str
-    loss: float
-    id: str | None = None
+
+@dataclass(frozen=True, eq=False)
+class AuditDataset:
+    """Validated m canary and n reference losses, as read-only float64 arrays.
+
+    Order within each role is preserved from the source so report rows
+    can be joined back to user metadata by position or id. A role's ids
+    are None when no example of that role has one. All canaries share one
+    replication count: one experiment audits one duplication level.
+    """
+
+    canary_losses: np.ndarray
+    reference_losses: np.ndarray
+    canary_ids: tuple[str | None, ...] | None = None
+    reference_ids: tuple[str | None, ...] | None = None
     replications: int = 1
 
     def __post_init__(self):
-        if self.role not in ROLES:
-            raise DatasetError(f"unknown role {self.role!r}; expected one of {ROLES}")
-        if isinstance(self.loss, bool) or not isinstance(self.loss, (int, float)):
-            raise DatasetError(f"loss must be a finite real, got {self.loss!r}")
-        object.__setattr__(self, "loss", float(self.loss))
-        if not math.isfinite(self.loss):
-            raise DatasetError(f"loss must be a finite real, got {self.loss!r}")
-        if isinstance(self.replications, bool) or not isinstance(self.replications, int) \
-                or self.replications < 1:
-            raise DatasetError(
-                f"replications must be a positive integer, got {self.replications!r}"
-            )
-        if self.role == "reference" and self.replications != 1:
-            raise DatasetError(
-                f"references must have replications = 1, got {self.replications}"
-            )
+        for role, count in (("canary", "m"), ("reference", "n")):
+            losses = np.array(getattr(self, f"{role}_losses"), dtype=np.float64)
+            if losses.ndim != 1:
+                raise DatasetError(f"{role} losses must be 1-D, got shape {losses.shape}")
+            if losses.size == 0:
+                raise DatasetError(f"dataset has no {role} records ({count} >= 1 required)")
+            if not np.isfinite(losses).all():
+                raise DatasetError(f"{role} losses must be finite")
+            ids = getattr(self, f"{role}_ids")
+            if ids is not None:
+                ids = tuple(ids)
+                if len(ids) != losses.size:
+                    raise DatasetError(f"{role} ids: got {len(ids)} for {losses.size} losses")
+                if all(rec_id is None for rec_id in ids):
+                    ids = None
+            object.__setattr__(self, f"{role}_losses", _read_only(losses))
+            object.__setattr__(self, f"{role}_ids", ids)
+        reps = self.replications
+        if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
+            raise DatasetError(f"replications must be a positive integer, got {reps!r}")
 
-
-@dataclass(frozen=True)
-class AuditDataset:
-    """Validated collection of m canary and n reference loss records.
-
-    Record order within each role is preserved from the source so report
-    rows can be joined back to user metadata by position or id. All
-    canaries must share one replication count: one experiment audits one
-    duplication level.
-    """
-
-    canaries: tuple[LossRecord, ...]
-    references: tuple[LossRecord, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "canaries", tuple(self.canaries))
-        object.__setattr__(self, "references", tuple(self.references))
-        if not self.canaries:
-            raise DatasetError("dataset has no canary records (m >= 1 required)")
-        if not self.references:
-            raise DatasetError("dataset has no reference records (n >= 1 required)")
-        for rec in self.canaries:
-            if rec.role != "canary":
-                raise DatasetError(f"non-canary record in canary list: {rec!r}")
-        for rec in self.references:
-            if rec.role != "reference":
-                raise DatasetError(f"non-reference record in reference list: {rec!r}")
-        counts = {rec.replications for rec in self.canaries}
-        if len(counts) > 1:
-            raise DatasetError(
-                f"mixed canary replication counts {sorted(counts)}; "
-                "all canaries must share one replication count"
-            )
+    def __eq__(self, other):
+        if not isinstance(other, AuditDataset):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in dataclass_fields(self)
+        )
 
     @property
     def m(self) -> int:
-        return len(self.canaries)
+        return self.canary_losses.size
 
     @property
     def n(self) -> int:
-        return len(self.references)
+        return self.reference_losses.size
 
-    @property
-    def replications(self) -> int:
-        """The shared canary replication count."""
-        return self.canaries[0].replications
+    @cached_property
+    def sorted_canary_losses(self) -> np.ndarray:
+        """Canary losses in ascending order, sorted once per dataset."""
+        return _read_only(np.sort(self.canary_losses))
 
-    def canary_losses(self) -> np.ndarray:
-        """Canary losses as a float64 array, in record order."""
-        return np.array([rec.loss for rec in self.canaries], dtype=np.float64)
+    @cached_property
+    def sorted_reference_losses(self) -> np.ndarray:
+        """Reference losses in ascending order, sorted once per dataset."""
+        return _read_only(np.sort(self.reference_losses))
 
-    def reference_losses(self) -> np.ndarray:
-        """Reference losses as a float64 array, in record order."""
-        return np.array([rec.loss for rec in self.references], dtype=np.float64)
+
+class _Columns:
+    """Per-role losses and ids that the line parsers append to, row by row."""
+
+    def __init__(self):
+        self.losses = {role: [] for role in ROLES}
+        self.ids = {role: [] for role in ROLES}
+        self.canary_replications = set()
+
+    def append(self, role: str, loss: float, rec_id, reps: int) -> None:
+        if role == "canary":
+            self.canary_replications.add(reps)
+        self.losses[role].append(loss)
+        self.ids[role].append(rec_id)
+
+    def dataset(self) -> AuditDataset:
+        counts = sorted(self.canary_replications)
+        d = AuditDataset(
+            canary_losses=self.losses["canary"],
+            reference_losses=self.losses["reference"],
+            canary_ids=self.ids["canary"],
+            reference_ids=self.ids["reference"],
+            replications=counts[0] if counts else 1,
+        )
+        # Checked after the dataset's own checks, so empty roles report first.
+        if len(counts) > 1:
+            raise DatasetError(
+                f"mixed canary replication counts {counts}; "
+                "all canaries must share one replication count"
+            )
+        return d
 
 
 def _normalize_role(token: str, line: int) -> str:
@@ -132,7 +154,7 @@ def _parse_loss(token, line: int) -> float:
     return loss
 
 
-def _parse_replications(token, line: int) -> int:
+def _parse_replications(token, role: str, line: int) -> int:
     if isinstance(token, bool):
         raise DatasetError(f"line {line}: replications must be an integer, got {token!r}")
     try:
@@ -141,34 +163,30 @@ def _parse_replications(token, line: int) -> int:
         raise DatasetError(f"line {line}: malformed replications {token!r}") from None
     if reps < 1:
         raise DatasetError(f"line {line}: replications must be >= 1, got {reps}")
+    if role == "reference" and reps != 1:
+        raise DatasetError(f"line {line}: references must have replications = 1, got {reps}")
     return reps
 
 
-def _record(role, loss, rec_id, replications, line: int) -> LossRecord:
-    try:
-        return LossRecord(role=role, loss=loss, id=rec_id, replications=replications)
-    except DatasetError as exc:
-        raise DatasetError(f"line {line}: {exc}") from None
-
-
-def _parse_csv(text: str) -> list[LossRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+def _parse_csv(text: str) -> _Columns:
+    rows = csv.reader(io.StringIO(text))
+    first = next(rows, None)
+    if first is None:
         raise DatasetError("empty file: missing CSV header")
-    header = [col.strip().lower() for col in rows[0]]
+    header = [col.strip().lower() for col in first]
     if tuple(header[: len(_CSV_REQUIRED)]) != _CSV_REQUIRED:
         raise DatasetError(
-            f"header: expected leading columns {','.join(_CSV_REQUIRED)}, got {rows[0]!r}"
+            f"header: expected leading columns {','.join(_CSV_REQUIRED)}, got {first!r}"
         )
     extras = header[len(_CSV_REQUIRED):]
     for col in extras:
         if col not in _CSV_OPTIONAL:
             raise DatasetError(f"header: unknown column {col!r}")
     if len(set(extras)) != len(extras):
-        raise DatasetError(f"header: duplicate columns in {rows[0]!r}")
+        raise DatasetError(f"header: duplicate columns in {first!r}")
 
-    records = []
-    for line, row in enumerate(rows[1:], start=2):
+    columns = _Columns()
+    for line, row in enumerate(rows, start=2):
         if not row:
             continue  # blank line
         if len(row) != len(header):
@@ -180,13 +198,13 @@ def _parse_csv(text: str) -> list[LossRecord]:
         loss = _parse_loss(fields["loss"], line)
         rec_id = fields.get("id", "").strip() or None
         reps_token = fields.get("replications", "").strip()
-        reps = _parse_replications(reps_token, line) if reps_token else 1
-        records.append(_record(role, loss, rec_id, reps, line))
-    return records
+        reps = _parse_replications(reps_token, role, line) if reps_token else 1
+        columns.append(role, loss, rec_id, reps)
+    return columns
 
 
-def _parse_jsonl(text: str) -> list[LossRecord]:
-    records = []
+def _parse_jsonl(text: str) -> _Columns:
+    columns = _Columns()
     for line, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -208,9 +226,10 @@ def _parse_jsonl(text: str) -> list[LossRecord]:
         rec_id = obj.get("id")
         if rec_id is not None and not isinstance(rec_id, str):
             raise DatasetError(f"line {line}: id must be a string, got {rec_id!r}")
-        reps = _parse_replications(obj["replications"], line) if "replications" in obj else 1
-        records.append(_record(role, loss, rec_id, reps, line))
-    return records
+        reps = (_parse_replications(obj["replications"], role, line)
+                if "replications" in obj else 1)
+        columns.append(role, loss, rec_id, reps)
+    return columns
 
 
 def parse_dataset(raw: bytes | str, format: str) -> AuditDataset:
@@ -239,10 +258,18 @@ def parse_dataset(raw: bytes | str, format: str) -> AuditDataset:
             raise DatasetError(f"input is not valid UTF-8: {exc}") from None
     else:
         text = raw
-    records = _parse_csv(text) if format == "csv" else _parse_jsonl(text)
-    canaries = tuple(rec for rec in records if rec.role == "canary")
-    references = tuple(rec for rec in records if rec.role == "reference")
-    return AuditDataset(canaries=canaries, references=references)
+    columns = _parse_csv(text) if format == "csv" else _parse_jsonl(text)
+    return columns.dataset()
+
+
+def _rows(d: AuditDataset):
+    """(role, loss, id, replications) per example, canaries first."""
+    for role, losses, ids, reps in (
+        ("canary", d.canary_losses, d.canary_ids, d.replications),
+        ("reference", d.reference_losses, d.reference_ids, 1),
+    ):
+        for loss, rec_id in zip(losses.tolist(), ids or (None,) * losses.size):
+            yield role, loss, rec_id, reps
 
 
 def serialize_dataset(d: AuditDataset, format: str) -> str:
@@ -254,52 +281,42 @@ def serialize_dataset(d: AuditDataset, format: str) -> str:
     """
     if format not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {format!r}")
-    records = list(d.canaries) + list(d.references)
     if format == "jsonl":
         lines = []
-        for rec in records:
-            obj = {"role": rec.role, "loss": rec.loss}
-            if rec.id is not None:
-                obj["id"] = rec.id
-            if rec.replications != 1:
-                obj["replications"] = rec.replications
+        for role, loss, rec_id, reps in _rows(d):
+            obj = {"role": role, "loss": loss}
+            if rec_id is not None:
+                obj["id"] = rec_id
+            if reps != 1:
+                obj["replications"] = reps
             lines.append(json.dumps(obj))
         return "\n".join(lines) + "\n"
 
-    with_id = any(rec.id is not None for rec in records)
-    with_reps = any(rec.replications != 1 for rec in records)
+    with_id = d.canary_ids is not None or d.reference_ids is not None
+    with_reps = d.replications != 1
     header = list(_CSV_REQUIRED) + (["id"] if with_id else []) + (
         ["replications"] if with_reps else []
     )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for rec in records:
-        row = [rec.role, repr(rec.loss)]
+    for role, loss, rec_id, reps in _rows(d):
+        row = [role, repr(loss)]
         if with_id:
-            row.append(rec.id if rec.id is not None else "")
+            row.append(rec_id if rec_id is not None else "")
         if with_reps:
-            row.append(str(rec.replications))
+            row.append(str(reps))
         writer.writerow(row)
     return buf.getvalue()
 
 
 def dataset_summary(d: AuditDataset) -> dict:
     """Per-role loss statistics plus the dataset's shape parameters."""
-    canary = d.canary_losses()
-    reference = d.reference_losses()
-    return {
-        "m": d.m,
-        "n": d.n,
-        "replications": d.replications,
-        "canary_loss": {
-            "min": float(canary.min()),
-            "max": float(canary.max()),
-            "mean": float(canary.mean()),
-        },
-        "reference_loss": {
-            "min": float(reference.min()),
-            "max": float(reference.max()),
-            "mean": float(reference.mean()),
-        },
-    }
+    summary = {"m": d.m, "n": d.n, "replications": d.replications}
+    for role, losses in (("canary", d.canary_losses), ("reference", d.reference_losses)):
+        summary[f"{role}_loss"] = {
+            "min": float(losses.min()),
+            "max": float(losses.max()),
+            "mean": float(losses.mean()),
+        }
+    return summary

@@ -102,19 +102,17 @@ def build_report(
     d: AuditDataset, result: AuditResult, histogram_bins: int | None = None
 ) -> dict:
     """Assemble the full audit report document as JSON-ready primitives."""
-    exposures = result.exposure_report.exposures()
-    per_canary = [
-        {
-            "index": res.canary_index,
-            "id": d.canaries[res.canary_index].id,
-            "loss": d.canaries[res.canary_index].loss,
-            "replications": d.canaries[res.canary_index].replications,
-            "rank": res.rank,
-            "exposure": res.exposure,
-            "empirical_fpr": res.empirical_fpr,
-        }
-        for res in result.exposure_report.per_canary
-    ]
+    report = result.exposure_report
+    columns = {
+        "index": range(d.m),
+        "id": d.canary_ids or (None,) * d.m,
+        "loss": d.canary_losses.tolist(),
+        "replications": (d.replications,) * d.m,
+        "rank": report.ranks.tolist(),
+        "exposure": report.exposures.tolist(),
+        "empirical_fpr": report.empirical_fprs.tolist(),
+    }
+    per_canary = [dict(zip(columns, row)) for row in zip(*columns.values())]
     warnings = [INDEPENDENCE_NOTICE]
     warnings += [o.warning for o in result.outcomes if o.warning is not None]
     return {
@@ -138,7 +136,7 @@ def build_report(
         "baselines": _baseline_rows(result, d.m, d.n),
         "epsilon_bounds": _bound_rows(result),
         "warnings": warnings,
-        "histogram": _histogram(exposures, d.n, histogram_bins),
+        "histogram": _histogram(report.exposures, d.n, histogram_bins),
     }
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .ingest import AuditDataset, LossRecord
+from .ingest import AuditDataset
 
 # Smallest uniform fed to the inverse normal CDF; keeps samples finite.
 _U_FLOOR = 2.0 ** -53
@@ -61,10 +61,7 @@ def simulate(model: GaussianShiftModel) -> AuditDataset:
     canaries = -model.mu + model.sigma * _normal_samples(
         np.random.default_rng(can_seq), model.m
     )
-    return AuditDataset(
-        canaries=tuple(LossRecord(role="canary", loss=float(x)) for x in canaries),
-        references=tuple(LossRecord(role="reference", loss=float(x)) for x in references),
-    )
+    return AuditDataset(canary_losses=canaries, reference_losses=references)
 
 
 def analytic_operating_point(

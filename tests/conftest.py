@@ -13,23 +13,16 @@ from math import comb
 
 import numpy as np
 
-from canaudit import AuditDataset, LossRecord
+from canaudit import AuditDataset
 
 
 def make_dataset(canary_losses, reference_losses, replications=1, ids=None):
-    canaries = tuple(
-        LossRecord(
-            role="canary",
-            loss=float(loss),
-            id=None if ids is None else ids[i],
-            replications=replications,
-        )
-        for i, loss in enumerate(canary_losses)
+    return AuditDataset(
+        canary_losses=canary_losses,
+        reference_losses=reference_losses,
+        canary_ids=ids,
+        replications=replications,
     )
-    references = tuple(
-        LossRecord(role="reference", loss=float(loss)) for loss in reference_losses
-    )
-    return AuditDataset(canaries=canaries, references=references)
 
 
 def brute_rank(loss, reference_losses, tie_policy):
@@ -50,8 +43,8 @@ def brute_roc(d: AuditDataset):
     Returns (threshold, canary_hits, reference_hits) tuples in the same
     order the library produces.
     """
-    canaries = [rec.loss for rec in d.canaries]
-    references = [rec.loss for rec in d.references]
+    canaries = d.canary_losses.tolist()
+    references = d.reference_losses.tolist()
     thresholds = [-math.inf] + sorted(set(canaries + references)) + [math.inf]
     points = []
     for t in thresholds:

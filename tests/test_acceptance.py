@@ -120,19 +120,20 @@ def test_criterion_05_brute_force_oracle_equivalence():
     ok = True
     for _ in range(1000):
         d = random_instance(rng, max_size=50)
-        refs = [rec.loss for rec in d.references]
+        refs = d.reference_losses.tolist()
         for policy in ("pessimistic", "optimistic"):
             report = exposure_all(d, policy)
-            for i, res in enumerate(report.per_canary):
-                loss = d.canaries[i].loss
-                ok = ok and res.rank == brute_rank(loss, refs, policy)
-                ok = ok and res.exposure == brute_exposure(loss, refs, policy)
+            for i, loss in enumerate(d.canary_losses.tolist()):
+                ok = ok and report.ranks[i] == brute_rank(loss, refs, policy)
+                ok = ok and report.exposures[i] == brute_exposure(loss, refs, policy)
         points = roc(d)
         expected = brute_roc(d)
         ok = ok and len(points) == len(expected)
         ok = ok and all(
-            p.threshold == t and p.canary_hits == ch and p.reference_hits == rh
-            for p, (t, ch, rh) in zip(points, expected)
+            threshold == t and hits == ch and ref_hits == rh
+            for threshold, hits, ref_hits, (t, ch, rh) in zip(
+                points.threshold, points.canary_hits, points.reference_hits, expected
+            )
         )
         if not ok:
             break

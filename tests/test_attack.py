@@ -56,16 +56,17 @@ def test_roc_separated_pair():
     d = make_dataset([1.0], [2.0])
     points = roc(d)
     assert len(points) == 4  # two distinct losses plus both endpoints
-    assert any(p.fpr == 0.0 and p.tpr == 1.0 for p in points)
-    assert points[0].tpr == 0.0 and points[0].fpr == 0.0
-    assert points[-1].tpr == 1.0 and points[-1].fpr == 1.0
+    assert any(fpr == 0.0 and tpr == 1.0 for fpr, tpr in zip(points.fpr, points.tpr))
+    assert points.tpr[0] == 0.0 and points.fpr[0] == 0.0
+    assert points.tpr[-1] == 1.0 and points.fpr[-1] == 1.0
 
 
 def test_roc_identical_multisets_lie_on_diagonal():
     losses = [1.0, 2.0, 2.0, 5.0]
     d = make_dataset(losses, losses)
-    for point in roc(d):
-        assert point.tpr == point.fpr
+    points = roc(d)
+    for tpr, fpr in zip(points.tpr, points.fpr):
+        assert tpr == fpr
 
 
 def test_roc_matches_brute_force():
@@ -75,12 +76,14 @@ def test_roc_matches_brute_force():
         points = roc(d)
         expected = brute_roc(d)
         assert len(points) == len(expected)
-        for point, (t, ch, rh) in zip(points, expected):
-            assert point.threshold == t
-            assert point.canary_hits == ch
-            assert point.reference_hits == rh
-            assert point.tpr == ch / d.m
-            assert point.fpr == rh / d.n
+        columns = zip(points.threshold, points.canary_hits, points.reference_hits,
+                      points.tpr, points.fpr)
+        for (threshold, hits, ref_hits, tpr, fpr), (t, ch, rh) in zip(columns, expected):
+            assert threshold == t
+            assert hits == ch
+            assert ref_hits == rh
+            assert tpr == ch / d.m
+            assert fpr == rh / d.n
 
 
 def test_roc_counts_non_decreasing():
@@ -88,9 +91,8 @@ def test_roc_counts_non_decreasing():
     for _ in range(20):
         d = random_instance(rng)
         points = roc(d)
-        for a, b in zip(points, points[1:]):
-            assert a.canary_hits <= b.canary_hits
-            assert a.reference_hits <= b.reference_hits
+        assert np.all(np.diff(points.canary_hits) >= 0)
+        assert np.all(np.diff(points.reference_hits) >= 0)
 
 
 def test_tpr_at_fpr_full_budget():
@@ -111,7 +113,7 @@ def test_tpr_at_fpr_achieved_granularity():
     for _ in range(20):
         d = random_instance(rng, max_size=10)
         d = make_dataset(
-            [rec.loss for rec in d.canaries],
+            d.canary_losses,
             list(rng.normal(size=10)),  # exactly n=10
         )
         mi = tpr_at_fpr(d, 0.1)
@@ -147,9 +149,9 @@ def test_attack_fpr_matches_optimistic_exposure_fpr():
     for _ in range(30):
         d = random_instance(rng, tie_prob=1.0)
         report = exposure_all(d, "optimistic")
-        for i, res in enumerate(report.per_canary):
-            mi = threshold_attack(d, d.canaries[i].loss)
-            assert mi.fpr == res.empirical_fpr
+        for loss, empirical_fpr in zip(d.canary_losses, report.empirical_fprs):
+            mi = threshold_attack(d, loss)
+            assert mi.fpr == empirical_fpr
 
 
 def test_null_symmetry_of_rates():
@@ -176,7 +178,8 @@ def test_roc_csv_round_trips():
     parsed = [tuple(float(tok) for tok in line.split(",")) for line in lines[1:]]
     points = roc(d)
     assert len(parsed) == len(points)
-    for (t, fpr, tpr), point in zip(parsed, points):
-        assert t == point.threshold
-        assert fpr == point.fpr
-        assert tpr == point.tpr
+    columns = zip(points.threshold, points.fpr, points.tpr)
+    for (t, fpr, tpr), (threshold, point_fpr, point_tpr) in zip(parsed, columns):
+        assert t == threshold
+        assert fpr == point_fpr
+        assert tpr == point_tpr

@@ -116,10 +116,12 @@ def test_invalid_flags_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["audit", "whatever.csv", "--out", "pdf"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--mu", "0", "--m", "0", "--n", "5",
-              "--out-file", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
+    for flags in (["--mu", "0", "--m", "0", "--n", "5"],
+                  ["--mu", "-1", "--m", "5", "--n", "5"],
+                  ["--mu", "0", "--sigma", "0", "--m", "5", "--n", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *flags, "--out-file", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["audit", "whatever.csv", "--confidence", "1.5"])
     assert exc.value.code == 2

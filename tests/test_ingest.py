@@ -1,11 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from canaudit import (
     AuditDataset,
     DatasetError,
-    LossRecord,
     dataset_summary,
     parse_dataset,
     serialize_dataset,
@@ -17,8 +17,8 @@ from conftest import make_dataset
 def test_minimal_csv():
     d = parse_dataset(b"role,loss\ncanary,2.5\nreference,3.1\n", "csv")
     assert d.m == 1 and d.n == 1
-    assert d.canaries[0].loss == 2.5
-    assert d.references[0].loss == 3.1
+    assert d.canary_losses[0] == 2.5
+    assert d.reference_losses[0] == 3.1
     assert d.replications == 1
 
 
@@ -109,17 +109,16 @@ def test_reference_with_replications_rejected():
 def test_optional_columns_parsed():
     text = "role,loss,id,replications\ncanary,1.5,c-1,4\nreference,2.5,,\n"
     d = parse_dataset(text, "csv")
-    assert d.canaries[0].id == "c-1"
-    assert d.canaries[0].replications == 4
-    assert d.references[0].id is None
-    assert d.references[0].replications == 1
+    assert d.canary_ids[0] == "c-1"
+    assert d.replications == 4
+    assert d.reference_ids is None
 
 
 def test_input_order_preserved():
     text = "role,loss\ncanary,3.0\nreference,9.0\ncanary,1.0\ncanary,2.0\nreference,8.0\n"
     d = parse_dataset(text, "csv")
-    assert [rec.loss for rec in d.canaries] == [3.0, 1.0, 2.0]
-    assert [rec.loss for rec in d.references] == [9.0, 8.0]
+    assert d.canary_losses.tolist() == [3.0, 1.0, 2.0]
+    assert d.reference_losses.tolist() == [9.0, 8.0]
 
 
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
@@ -226,21 +225,26 @@ def test_parse_rejects_unknown_format():
 
 
 def test_loss_record_invariants():
-    with pytest.raises(DatasetError):
-        LossRecord(role="reference", loss=1.0, replications=3)
-    with pytest.raises(DatasetError):
-        LossRecord(role="canary", loss=float("nan"))
-    with pytest.raises(DatasetError):
-        LossRecord(role="witness", loss=1.0)
+    with pytest.raises(DatasetError, match="finite"):
+        AuditDataset(canary_losses=[1.0, float("nan")], reference_losses=[2.0])
+    with pytest.raises(DatasetError, match="finite"):
+        AuditDataset(canary_losses=[1.0], reference_losses=[float("-inf")])
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(DatasetError, match="replications"):
+            AuditDataset(canary_losses=[1.0], reference_losses=[2.0], replications=bad)
+    with pytest.raises(DatasetError, match="ids"):
+        AuditDataset(canary_losses=[1.0, 2.0], reference_losses=[2.0], canary_ids=["a"])
+    with pytest.raises(DatasetError, match="ids"):
+        AuditDataset(canary_losses=[1.0], reference_losses=[2.0], reference_ids=["a", "b"])
 
 
 def test_dataset_requires_consistent_roles():
-    canary = LossRecord(role="canary", loss=1.0)
-    reference = LossRecord(role="reference", loss=2.0)
-    with pytest.raises(DatasetError):
-        AuditDataset(canaries=(reference,), references=(reference,))
-    with pytest.raises(DatasetError):
-        AuditDataset(canaries=(canary,), references=(canary,))
+    with pytest.raises(DatasetError, match="no canary"):
+        AuditDataset(canary_losses=[], reference_losses=[2.0])
+    with pytest.raises(DatasetError, match="no reference"):
+        AuditDataset(canary_losses=[1.0], reference_losses=np.array([]))
+    with pytest.raises(DatasetError, match="1-D"):
+        AuditDataset(canary_losses=[[1.0]], reference_losses=[2.0])
 
 
 def test_summary_statistics():

@@ -122,7 +122,7 @@ def test_csv_rendering_parses():
     assert len(lines) == d.m + 1
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "c0"
-    assert float(first[2]) == d.canaries[0].loss
+    assert float(first[2]) == d.canary_losses[0]
 
 
 def test_markdown_includes_warnings_section():

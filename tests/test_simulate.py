@@ -42,23 +42,23 @@ def test_simulate_seed_sensitivity():
 
 def test_simulate_golden_values():
     d = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=5, n=5, seed=0))
-    assert [rec.loss for rec in d.canaries] == GOLDEN_SEED0_CANARIES
-    assert [rec.loss for rec in d.references] == GOLDEN_SEED0_REFERENCES
+    assert d.canary_losses.tolist() == GOLDEN_SEED0_CANARIES
+    assert d.reference_losses.tolist() == GOLDEN_SEED0_REFERENCES
 
 
 def test_simulate_shift_and_scale():
     base = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=5, n=5, seed=0))
     shifted = simulate(GaussianShiftModel(mu=2.5, sigma=1.0, m=5, n=5, seed=0))
-    for a, b in zip(base.canaries, shifted.canaries):
-        assert b.loss == pytest.approx(a.loss - 2.5, abs=1e-12)
-    for a, b in zip(base.references, shifted.references):
-        assert b.loss == a.loss  # references carry no shift
+    for a, b in zip(base.canary_losses, shifted.canary_losses):
+        assert b == pytest.approx(a - 2.5, abs=1e-12)
+    for a, b in zip(base.reference_losses, shifted.reference_losses):
+        assert b == a  # references carry no shift
 
 
 def test_simulate_canaries_independent_of_n():
     a = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=5, n=3, seed=9))
     b = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=5, n=30, seed=9))
-    assert [r.loss for r in a.canaries] == [r.loss for r in b.canaries]
+    assert a.canary_losses.tolist() == b.canary_losses.tolist()
 
 
 def test_simulate_validation():
