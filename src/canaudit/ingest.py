@@ -9,6 +9,11 @@ In memory a dataset is columnar: one float64 loss array per role, optional
 per-role ids, and the single replication count all canaries share.
 Duplicated canaries appear once, with a ``replications`` count, rather than
 as repeated rows; repeating rows would inflate the canary count m.
+
+A file with only roles and losses is read in bulk, about a megabyte of
+lines per conversion. Any file the bulk reader cannot prove it reads as
+the line-by-line parser would goes to that parser, the single source of
+every diagnostic.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,6 +33,10 @@ ROLES = ("canary", "reference")
 _CSV_REQUIRED = ("role", "loss")
 _CSV_OPTIONAL = ("id", "replications")
 _JSONL_KEYS = frozenset(("role", "loss", "id", "replications"))
+
+# The bulk reader converts about this many characters of whole lines at a
+# time, so its transient lists and objects stay a few MB whatever the file.
+_BLOCK_CHARS = 1 << 20
 
 
 class DatasetError(ValueError):
@@ -149,13 +159,15 @@ def _parse_loss(token, line: int) -> float:
         loss = float(token)
     except (TypeError, ValueError):
         raise DatasetError(f"line {line}: malformed loss {token!r}") from None
+    except OverflowError:  # a JSON integer beyond the float range
+        raise DatasetError(f"line {line}: loss {token!r} out of float range") from None
     if not math.isfinite(loss):
         raise DatasetError(f"line {line}: non-finite loss {token!r}")
     return loss
 
 
 def _parse_replications(token, role: str, line: int) -> int:
-    if isinstance(token, bool):
+    if isinstance(token, (bool, float)):
         raise DatasetError(f"line {line}: replications must be an integer, got {token!r}")
     try:
         reps = int(token)
@@ -168,8 +180,16 @@ def _parse_replications(token, role: str, line: int) -> int:
     return reps
 
 
-def _parse_csv(text: str) -> _Columns:
+def _csv_rows(text: str):
     rows = csv.reader(io.StringIO(text))
+    try:
+        yield from rows
+    except csv.Error as exc:
+        raise DatasetError(f"line {rows.line_num}: {exc}") from None
+
+
+def _parse_csv(text: str) -> _Columns:
+    rows = _csv_rows(text)
     first = next(rows, None)
     if first is None:
         raise DatasetError("empty file: missing CSV header")
@@ -212,6 +232,8 @@ def _parse_jsonl(text: str) -> _Columns:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"line {line}: malformed JSON ({exc.msg})") from None
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep
+            raise DatasetError(f"line {line}: {exc}") from None
         if not isinstance(obj, dict):
             raise DatasetError(f"line {line}: expected a JSON object, got {obj!r}")
         unknown = set(obj) - _JSONL_KEYS
@@ -232,11 +254,105 @@ def _parse_jsonl(text: str) -> _Columns:
     return columns
 
 
+def _blocks(text: str, start: int):
+    """text[start:] as runs of about _BLOCK_CHARS characters of whole lines.
+
+    Each run lacks its final newline; one newline at the end of the text
+    ends the last line rather than starting an empty one.
+    """
+    stop = len(text) - text.endswith("\n")
+    while start < stop:
+        end = text.find("\n", start + _BLOCK_CHARS, stop)
+        if end < 0:
+            end = stop
+        yield text[start:end]
+        start = end + 1
+
+
+def _csv_block(block: str):
+    """Losses and roles of a block of ``role,loss`` lines, or None."""
+    lines = block.count("\n") + 1
+    # Every line starts with an exact role and a comma, and the block holds
+    # one comma per line, so each line is one role token and one loss token.
+    # A loss token float() parses holds no quote; "\r" ends a csv record.
+    starts = (block.startswith(("canary,", "reference,"))
+              + block.count("\ncanary,") + block.count("\nreference,"))
+    if "\r" in block or block.count(",") != lines or starts != lines:
+        return None
+    tokens = block.replace("\n", ",").split(",")
+    loss_tokens = tokens[1::2]
+    if max(map(len, loss_tokens)) > csv.field_size_limit():
+        return None
+    try:
+        return np.fromiter(map(float, loss_tokens), np.float64, lines), tokens[0::2]
+    except ValueError:
+        return None
+
+
+def _jsonl_block(block: str):
+    """Losses and roles of a block of ``{"role": ..., "loss": ...}`` lines, or None."""
+    lines = block.count("\n") + 1
+    # Every line opens with "{" and closes with "}", and six quotes per line
+    # leave room for no string but "role", "loss" and the role itself. So no
+    # string hides a brace or a line break, and one json.loads of the joined
+    # lines yields one object per line, each what json.loads of its line
+    # yields. JSON allows "\r" between tokens; str.splitlines() splits there.
+    if ("\r" in block or not (block.startswith("{") and block.endswith("}"))
+            or block.count("}\n{") != lines - 1 or block.count('"') != 6 * lines):
+        return None
+    try:
+        objs = json.loads("[" + block.replace("\n", ",") + "]")
+        roles = list(map(itemgetter("role"), objs))
+        losses = list(map(itemgetter("loss"), objs))
+    except (ValueError, RecursionError, KeyError, TypeError):
+        return None
+    if (len(objs) != lines or set(map(len, objs)) != {2}
+            or roles.count("canary") + roles.count("reference") != lines
+            or not set(map(type, losses)) <= {int, float}):
+        return None
+    try:
+        return np.fromiter(map(float, losses), np.float64, lines), roles
+    except OverflowError:
+        return None
+
+
+def _read_bulk(text: str, format: str) -> AuditDataset | None:
+    """The dataset of a file with only role and loss, read a block at a time.
+
+    Returns None unless every line is one exactly spelled role and one
+    finite loss that the line parser would read to the same float, and
+    both roles occur; the line parser then reads the file and reports
+    what is wrong with it.
+    """
+    if format == "csv":
+        header = ",".join(_CSV_REQUIRED) + "\n"
+        if not text.startswith(header):
+            return None
+        start, read_block = len(header), _csv_block
+    else:
+        start, read_block = 0, _jsonl_block
+    canaries, references = [], []
+    for block in _blocks(text, start):
+        parsed = read_block(block)
+        if parsed is None:
+            return None
+        losses, roles = parsed
+        if not np.isfinite(losses).all():
+            return None
+        is_canary = np.fromiter(map("canary".__eq__, roles), bool, len(roles))
+        canaries.append(losses[is_canary])
+        references.append(losses[~is_canary])
+    if not (any(map(len, canaries)) and any(map(len, references))):
+        return None
+    return AuditDataset(np.concatenate(canaries), np.concatenate(references))
+
+
 def parse_dataset(raw: bytes | str, format: str) -> AuditDataset:
     """Parse a loss file into a validated AuditDataset.
 
     Args:
-      raw: File contents, UTF-8 bytes or text.
+      raw: File contents, UTF-8 bytes or text; one leading byte order
+        mark is skipped.
       format: ``"csv"`` (header ``role,loss[,id][,replications]``) or
         ``"jsonl"`` (one object per line with keys ``role``, ``loss``,
         optional ``id`` and ``replications``).
@@ -258,8 +374,12 @@ def parse_dataset(raw: bytes | str, format: str) -> AuditDataset:
             raise DatasetError(f"input is not valid UTF-8: {exc}") from None
     else:
         text = raw
-    columns = _parse_csv(text) if format == "csv" else _parse_jsonl(text)
-    return columns.dataset()
+    text = text.removeprefix("\ufeff")
+    d = _read_bulk(text, format)
+    if d is None:
+        columns = _parse_csv(text) if format == "csv" else _parse_jsonl(text)
+        d = columns.dataset()
+    return d
 
 
 def _rows(d: AuditDataset):

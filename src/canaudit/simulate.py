@@ -13,6 +13,7 @@ machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,10 @@ class GaussianShiftModel:
     seed: int
 
     def __post_init__(self):
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"m and n must be >= 1, got m={self.m}, n={self.n}")
 

@@ -12,8 +12,13 @@ import math
 from math import comb
 
 import numpy as np
+from hypothesis import settings
 
 from canaudit import AuditDataset
+
+# The same examples on every run, and no deadline on a loaded host.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def make_dataset(canary_losses, reference_losses, replications=1, ids=None):

@@ -104,9 +104,15 @@ def test_audit_missing_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_audit_malformed_file_exits_one(tmp_path, capsys):
-    path = tmp_path / "bad.csv"
-    path.write_text("role,loss\ncanary,NaN\n", encoding="utf-8")
+@pytest.mark.parametrize("name,text", [
+    ("bad.csv", "role,loss\ncanary,NaN\n"),
+    ("long.csv", "role,loss\ncanary,0.%s1\n" % ("0" * 200_000)),
+    ("huge.jsonl", '{"role": "canary", "loss": 1}\n{"role": "canary", "loss": 1%s}\n'
+                   % ("0" * 400)),
+])
+def test_audit_malformed_file_exits_one(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
     assert main(["audit", str(path)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err
@@ -118,7 +124,11 @@ def test_invalid_flags_exit_two(tmp_path):
     assert exc.value.code == 2
     for flags in (["--mu", "0", "--m", "0", "--n", "5"],
                   ["--mu", "-1", "--m", "5", "--n", "5"],
-                  ["--mu", "0", "--sigma", "0", "--m", "5", "--n", "5"]):
+                  ["--mu", "0", "--sigma", "0", "--m", "5", "--n", "5"],
+                  ["--mu", "nan", "--m", "5", "--n", "5"],
+                  ["--mu", "inf", "--m", "5", "--n", "5"],
+                  ["--mu", "0", "--sigma", "nan", "--m", "5", "--n", "5"],
+                  ["--mu", "0", "--sigma", "inf", "--m", "5", "--n", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", *flags, "--out-file", str(tmp_path / "x.csv")])
         assert exc.value.code == 2

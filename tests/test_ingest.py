@@ -1,12 +1,15 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from canaudit import (
     AuditDataset,
     DatasetError,
     dataset_summary,
+    ingest,
     parse_dataset,
     serialize_dataset,
 )
@@ -209,6 +212,23 @@ ERROR_CASES = [
     ("jsonl", b'{"role": "canary", "loss": 1.0, "id": "\xc3"}',
      "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xc3 in position 39: "
      "invalid continuation byte"),
+    ("jsonl", '{"role": "canary", "loss": 1.0}\n{"role": "reference", "loss": 1%s}'
+              % ("0" * 400), "line 2: loss 1%s out of float range" % ("0" * 400)),
+    ("jsonl", '{"role": "canary", "loss": 1%s}' % ("0" * 5000),
+     "line 1: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ("jsonl", '{"role": "canary", "loss": %s1%s}' % ("[" * 100_000, "]" * 100_000),
+     "line 1: maximum recursion depth exceeded while decoding a JSON array "
+     "from a unicode string"),
+    ("jsonl", '{"role": "canary", "loss": 1.0, "replications": 2.7}',
+     "line 1: replications must be an integer, got 2.7"),
+    ("jsonl", '{"role": "canary", "loss": 1.0, "replications": 2.0}',
+     "line 1: replications must be an integer, got 2.0"),
+    ("csv", "role,loss\ncanary,1.0\nreference,0.%s1\n" % ("0" * 131072),
+     "line 3: field larger than field limit (131072)"),
+    ("csv", "role,loss\ncanary,1.0\rreference,2.0\n",
+     "line 2: new-line character seen in unquoted field - "
+     "do you need to open the file in universal-newline mode?"),
 ]
 
 
@@ -217,6 +237,30 @@ def test_error_messages_are_pinned(format, raw, message):
     with pytest.raises(DatasetError) as exc:
         parse_dataset(raw, format)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("format,raw,message",
+                         [case for case in ERROR_CASES if isinstance(case[1], str)])
+def test_bulk_reader_defers_on_every_error(format, raw, message):
+    assert ingest._read_bulk(raw, format) is None
+
+
+def test_bulk_reader_reads_plain_files():
+    d = make_dataset(np.random.default_rng(3).normal(size=30_000),
+                     np.random.default_rng(4).normal(size=20_000))
+    for format in ("csv", "jsonl"):
+        text = serialize_dataset(d, format)
+        assert len(text) > ingest._BLOCK_CHARS  # at least two blocks
+        assert _identical(ingest._read_bulk(text, format), d)
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_byte_order_mark_is_skipped(format):
+    d = make_dataset([1.5, -0.0], [2.5])
+    text = serialize_dataset(d, format)
+    assert _identical(parse_dataset("\ufeff" + text, format), d)
+    assert _identical(parse_dataset(("\ufeff" + text).encode("utf-8"), format), d)
+    assert _identical(_line_parse("\ufeff" + text, format), d)
 
 
 def test_parse_rejects_unknown_format():
@@ -261,3 +305,131 @@ def test_summary_minimal_dataset():
     summary = dataset_summary(d)
     assert summary["m"] == 1 and summary["n"] == 1
     assert summary["replications"] == 1
+
+
+def _identical(a, b):
+    """Equal datasets whose losses also match bit for bit (so -0.0 != 0.0)."""
+    return a == b and all(
+        getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in ("canary_losses", "reference_losses")
+    )
+
+
+def _line_parse(raw, format):
+    """parse_dataset with the bulk reader turned off: the line parser alone."""
+    with mock.patch.object(ingest, "_read_bulk", lambda text, format: None):
+        return parse_dataset(raw, format)
+
+
+def _outcome(parse, raw, format):
+    try:
+        return parse(raw, format)
+    except DatasetError as exc:
+        return str(exc)
+
+
+# Finite losses both readers agree on, then tokens the line parser must judge.
+VALID_LOSSES = ["2.5", "-0.0", "0.0", "5e-324", "2.2e-308", "1e308", "-1e308", "3", "-7"]
+ODD_LOSSES = ["1" + "0" * 400, "NaN", "inf", "-Infinity", "1e400", "true", "null"]
+CSV_ODD_LOSSES = ODD_LOSSES + ["1_0", " 1.5 ", "", "abc", '"1.5"', "1.5\u2028"]
+JSON_ODD_LOSSES = ODD_LOSSES + ['"1.5"', "1.5e+3", "[1]", "1.0 "]
+ODD_ROLES = ["Canary", " canary", "holdout", "REFERENCE", ""]
+
+
+@st.composite
+def _files(draw, valid_row, odd_row, headers):
+    """Files of valid rows with up to two odd rows inserted anywhere.
+
+    Mostly valid rows keep both roles present, so the odd row decides
+    whether the bulk reader may read the file.
+    """
+    rows = draw(st.lists(valid_row, min_size=2, max_size=10))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd_row))
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    lines = ([draw(st.sampled_from(headers))] if headers else []) + rows
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+csv_file = _files(
+    st.tuples(st.sampled_from(["canary", "reference"]),
+              st.sampled_from(VALID_LOSSES)).map(",".join),
+    st.one_of(
+        st.tuples(st.sampled_from(["canary", "reference"] + ODD_ROLES),
+                  st.sampled_from(VALID_LOSSES + CSV_ODD_LOSSES)).map(",".join),
+        st.sampled_from(["", "  ", '"canary",1.0', '"canary,1.0"', "canary,1.0,x",
+                         "reference", "canary,", "canary,1.0,canary",
+                         "canary,1.0,reference,2.0", "canary,1.0\r", "canary,\r1.0",
+                         "canary,1.0\rreference,2.0"]),
+    ),
+    ["role,loss", "role,loss", "role,loss", "Role,Loss", "role,loss,id", " role,loss"],
+)
+
+
+def _object(role, loss):
+    return '{"role": %s, "loss": %s}' % (role, loss)
+
+
+jsonl_file = _files(
+    st.tuples(st.sampled_from(['"canary"', '"reference"']),
+              st.sampled_from(VALID_LOSSES)).map(lambda t: _object(*t)),
+    st.one_of(
+        st.tuples(st.sampled_from(['"canary"', '"reference"', '"Canary"', '" canary"',
+                                   '"holdout"', '"canary\u2028"', '"canary\\u2028"',
+                                   '"c\\u0061nary"', "1"]),
+                  st.sampled_from(VALID_LOSSES + JSON_ODD_LOSSES)).map(lambda t: _object(*t)),
+        st.sampled_from([
+            "", "  ",
+            '{"role": "canary"', '"loss": 1}',
+            '{"role": "canary", "loss": 1}{"role": "reference", "loss": 2}',
+            '{"role": "canary", "loss": 1}, {"role": "reference", "loss": 2}',
+            '{"role": "canary", "loss": 1} ', ' {"role": "canary", "loss": 1}',
+            '{"role": "canary", "loss": 1, "id": "a"}',
+            '{"role": "canary", "loss": 1, "replications": 1}',
+            '{"role": "reference", "role": "canary", "loss": 1}',
+            '{"role": "canary",\r"loss": 1}', '{"role":\t"canary",\u2028"loss": 1}',
+            '{"role": "}', '{", "role": "canary", "loss": 1}',
+            '[{"role": "canary", "loss": 1}]',
+        ]),
+    ),
+    [],
+)
+
+
+def _check_bulk_matches_line_parser(raw, format):
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 64):
+        bulk = _outcome(parse_dataset, raw, format)
+        lines = _outcome(_line_parse, raw, format)
+    if isinstance(lines, str) or isinstance(bulk, str):
+        assert bulk == lines
+    else:
+        assert _identical(bulk, lines)
+
+
+@settings(max_examples=400)
+@given(csv_file, st.booleans())
+# Lines whose commas add up but split differently: one line too few fields,
+# another too many.
+@example("role,loss\ncanary,1,reference\n5\n", False)
+@example("role,loss\ncanary,1,reference,2\nreference,3\n", False)
+# csv ends a record at "\r", where float() takes it for whitespace.
+@example("role,loss\ncanary,\r1.0\nreference,2.0\n", False)
+def test_bulk_csv_matches_line_parser(text, as_bytes):
+    _check_bulk_matches_line_parser(text.encode("utf-8") if as_bytes else text, "csv")
+
+
+@settings(max_examples=400)
+@given(jsonl_file, st.booleans())
+# A string that spans two lines, with duplicate keys to make the quote count
+# come out at six per line; and that merge offset by a line holding two objects.
+@example('{"role": "}\n{", "role": "canary", "loss": 1, "loss": 2}\n'
+         '{"role": "reference", "loss": 3}\n', False)
+@example('{"role": "}\n{", "role": "canary", "loss": 1}\n'
+         '{"role": "canary", "loss": 1},{"role": "reference", "loss": 2}\n', False)
+# Six quotes a line, but one object split over two lines after another.
+@example('{"role": "canary", "loss": 1}, {"role": "reference"\n"loss": 2}\n', False)
+# JSON takes "\r" for whitespace, str.splitlines() for a line break.
+@example('{"role": "canary",\r"loss": 1}\n{"role": "reference", "loss": 2}\n', False)
+def test_bulk_jsonl_matches_line_parser(text, as_bytes):
+    _check_bulk_matches_line_parser(text.encode("utf-8") if as_bytes else text, "jsonl")

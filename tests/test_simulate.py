@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,9 @@ def test_simulate_validation():
         GaussianShiftModel(mu=0.0, sigma=0.0, m=1, n=1, seed=0)
     with pytest.raises(ValueError):
         GaussianShiftModel(mu=0.0, sigma=1.0, m=0, n=1, seed=0)
+    for mu, sigma in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianShiftModel(mu=mu, sigma=sigma, m=1, n=1, seed=0)
 
 
 def test_null_model_median_exposure_near_one():
