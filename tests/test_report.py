@@ -132,3 +132,47 @@ def test_markdown_includes_warnings_section():
     md = render_markdown(document)
     assert "## Warnings" in md
     assert "resolution" in md
+
+
+def _golden_document():
+    # ids with a missing one and one that needs CSV quoting, canaries
+    # replicated twice, and more canaries than the Markdown table shows
+    d = make_dataset([0.5, 1.5, 2.5, 3.5, 0.25], [1.0, 2.0, 3.0, 4.0],
+                     replications=2, ids=["a", "b", None, "d,e", "f"])
+    return build_report(d, audit_pipeline(d, operating_points=("median", 0.25)))
+
+
+def test_csv_rendering_golden():
+    assert render_csv(_golden_document()) == (
+        "index,id,loss,replications,rank,exposure,empirical_fpr\n"
+        "0,a,0.5,2,1,2.0,0.0\n"
+        "1,b,1.5,2,2,1.0,0.25\n"
+        "2,,2.5,2,3,0.4150374992788439,0.5\n"
+        '3,"d,e",3.5,2,4,0.0,0.75\n'
+        "4,f,0.25,2,1,2.0,0.0\n"
+    )
+
+
+def test_csv_rendering_golden_without_ids():
+    d = make_dataset([0.5, 2.5], [1.0, 2.0, 3.0, 4.0])
+    document = build_report(d, audit_pipeline(d))
+    assert render_csv(document) == (
+        "index,id,loss,replications,rank,exposure,empirical_fpr\n"
+        "0,,0.5,1,1,2.0,0.0\n"
+        "1,,2.5,1,3,0.4150374992788439,0.5\n"
+    )
+
+
+def test_markdown_per_canary_table_golden():
+    md = render_markdown(_golden_document(), max_canary_rows=3)
+    assert md[md.index("## Per-canary exposure"):] == (
+        "## Per-canary exposure\n\n"
+        "| index | id | loss | rank | exposure | empirical fpr |\n"
+        "|---|---|---|---|---|---|\n"
+        "| 0 | a | 0.5 | 1 | 2.0 | 0.0 |\n"
+        "| 1 | b | 1.5 | 2 | 1.0 | 0.25 |\n"
+        "| 2 | - | 2.5 | 3 | 0.4150374992788439 | 0.5 |\n"
+        "\n(table truncated; the JSON report carries every row)\n"
+    )
+    untruncated = render_markdown(_golden_document(), max_canary_rows=5)
+    assert untruncated.endswith("| 4 | f | 0.25 | 1 | 2.0 | 0.0 |\n")
