@@ -85,10 +85,11 @@ def exposure_quantile(exposures, q: float) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
-    values = np.sort(np.asarray(exposures, dtype=np.float64))
+    values = np.asarray(exposures, dtype=np.float64)
     if values.size == 0:
         raise ValueError("exposures must be non-empty")
-    return float(values[ceil(q * values.size) - 1])
+    k = ceil(q * values.size) - 1
+    return float(np.partition(values, k)[k])
 
 
 def exposure_all(d: AuditDataset, tie_policy: str = "pessimistic") -> ExposureReport:

@@ -181,16 +181,21 @@ def _parse_replications(token, role: str, line: int) -> int:
 
 
 def _csv_rows(text: str):
+    """(line, fields) per CSV record, numbered by the line the record starts on:
+    a quoted field may span lines."""
     rows = csv.reader(io.StringIO(text))
+    start = 1
     try:
-        yield from rows
+        for row in rows:
+            yield start, row
+            start = rows.line_num + 1
     except csv.Error as exc:
         raise DatasetError(f"line {rows.line_num}: {exc}") from None
 
 
 def _parse_csv(text: str) -> _Columns:
     rows = _csv_rows(text)
-    first = next(rows, None)
+    _, first = next(rows, (None, None))
     if first is None:
         raise DatasetError("empty file: missing CSV header")
     header = [col.strip().lower() for col in first]
@@ -206,7 +211,7 @@ def _parse_csv(text: str) -> _Columns:
         raise DatasetError(f"header: duplicate columns in {first!r}")
 
     columns = _Columns()
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         if not row:
             continue  # blank line
         if len(row) != len(header):
@@ -430,6 +435,15 @@ def serialize_dataset(d: AuditDataset, format: str) -> str:
     return buf.getvalue()
 
 
+def _mean(losses: np.ndarray) -> float:
+    """Mean of finite losses, finite also where their float64 sum overflows."""
+    with np.errstate(over="ignore"):
+        mean = float(losses.mean())
+    if math.isinf(mean):  # no partial sum of losses / m can overflow
+        mean = float((losses / losses.size).sum())
+    return mean
+
+
 def dataset_summary(d: AuditDataset) -> dict:
     """Per-role loss statistics plus the dataset's shape parameters."""
     summary = {"m": d.m, "n": d.n, "replications": d.replications}
@@ -437,6 +451,6 @@ def dataset_summary(d: AuditDataset) -> dict:
         summary[f"{role}_loss"] = {
             "min": float(losses.min()),
             "max": float(losses.max()),
-            "mean": float(losses.mean()),
+            "mean": _mean(losses),
         }
     return summary

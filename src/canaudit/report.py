@@ -4,12 +4,15 @@ The JSON document is the single source of truth; the Markdown rendering
 formats values straight out of the document (via ``json.dumps`` per
 value), so every number in the Markdown appears verbatim in the JSON and
 nothing is ever computed twice.
+
+Per-canary values are stored as columns; the JSON is strict (null for inf).
 """
 
 from __future__ import annotations
 
 import io
 import csv
+import itertools
 import json
 import math
 
@@ -20,7 +23,7 @@ from .audit import INDEPENDENCE_NOTICE, AuditResult
 from .baseline import _monte_carlo_stats
 from .ingest import AuditDataset, dataset_summary
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MC_TRIALS = 200
 _MC_SEED = 0
@@ -69,6 +72,10 @@ def _baseline_rows(result: AuditResult, m: int, n: int) -> list[dict]:
     return rows
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 def _bound_rows(result: AuditResult) -> list[dict]:
     rows = []
     for outcome in result.outcomes:
@@ -78,12 +85,12 @@ def _bound_rows(result: AuditResult) -> list[dict]:
                 {
                     "operating_point": outcome.operating_point,
                     "source": bound.source,
-                    "threshold": outcome.mi.threshold,
+                    "threshold": _finite_or_none(outcome.mi.threshold),
                     "tpr": outcome.mi.tpr,
                     "fpr": outcome.mi.fpr,
                     "canary_hits": outcome.mi.canary_hits,
                     "reference_hits": outcome.mi.reference_hits,
-                    "point_estimate": bound.point_estimate,
+                    "point_estimate": _finite_or_none(bound.point_estimate),
                     "confident_lower_bound": bound.confident_lower_bound,
                     "confidence": bound.confidence,
                     "alpha_split": list(bound.alpha_split),
@@ -103,16 +110,6 @@ def build_report(
 ) -> dict:
     """Assemble the full audit report document as JSON-ready primitives."""
     report = result.exposure_report
-    columns = {
-        "index": range(d.m),
-        "id": d.canary_ids or (None,) * d.m,
-        "loss": d.canary_losses.tolist(),
-        "replications": (d.replications,) * d.m,
-        "rank": report.ranks.tolist(),
-        "exposure": report.exposures.tolist(),
-        "empirical_fpr": report.empirical_fprs.tolist(),
-    }
-    per_canary = [dict(zip(columns, row)) for row in zip(*columns.values())]
     warnings = [INDEPENDENCE_NOTICE]
     warnings += [o.warning for o in result.outcomes if o.warning is not None]
     return {
@@ -125,13 +122,17 @@ def build_report(
             "operating_points": [o.operating_point for o in result.outcomes],
         },
         "exposure": {
-            "m": result.exposure_report.m,
-            "n": result.exposure_report.n,
-            "mean_exposure": result.exposure_report.mean_exposure,
-            "quantile_exposures": {
-                str(q): v for q, v in result.exposure_report.quantile_exposures.items()
+            "m": report.m,
+            "n": report.n,
+            "mean_exposure": report.mean_exposure,
+            "quantile_exposures": {str(q): v for q, v in report.quantile_exposures.items()},
+            "per_canary": {
+                "id": None if d.canary_ids is None else list(d.canary_ids),
+                "loss": d.canary_losses.tolist(),
+                "rank": report.ranks.tolist(),
+                "exposure": report.exposures.tolist(),
+                "empirical_fpr": report.empirical_fprs.tolist(),
             },
-            "per_canary": per_canary,
         },
         "baselines": _baseline_rows(result, d.m, d.n),
         "epsilon_bounds": _bound_rows(result),
@@ -141,13 +142,21 @@ def build_report(
 
 
 def render_json(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
 
 def _fmt(value) -> str:
     # json.dumps of a scalar reproduces exactly the token the JSON
     # rendering contains, keeping Markdown numbers verbatim-checkable.
     return json.dumps(value)
+
+
+def _canary_rows(document: dict):
+    """(index, id, loss, rank, exposure, empirical_fpr) per canary, in order."""
+    columns = document["exposure"]["per_canary"]
+    ids = itertools.repeat(None) if columns["id"] is None else columns["id"]
+    return zip(itertools.count(), ids, columns["loss"], columns["rank"],
+               columns["exposure"], columns["empirical_fpr"])
 
 
 def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
@@ -205,18 +214,16 @@ def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
         lo, hi = hist["bin_edges"][i], hist["bin_edges"][i + 1]
         out.write(f"| [{_fmt(lo)}, {_fmt(hi)}] | {_fmt(count)} |\n")
 
-    rows = document["exposure"]["per_canary"]
     out.write("\n## Per-canary exposure\n\n")
     out.write("| index | id | loss | rank | exposure | empirical fpr |\n")
     out.write("|---|---|---|---|---|---|\n")
-    for row in rows[:max_canary_rows]:
-        rec_id = row["id"] if row["id"] is not None else "-"
+    rows = itertools.islice(_canary_rows(document), max_canary_rows)
+    for index, rec_id, loss, rank, exposure, fpr in rows:
         out.write(
-            f"| {_fmt(row['index'])} | {rec_id} | {_fmt(row['loss'])} "
-            f"| {_fmt(row['rank'])} | {_fmt(row['exposure'])} "
-            f"| {_fmt(row['empirical_fpr'])} |\n"
+            f"| {_fmt(index)} | {'-' if rec_id is None else rec_id} | {_fmt(loss)} "
+            f"| {_fmt(rank)} | {_fmt(exposure)} | {_fmt(fpr)} |\n"
         )
-    if len(rows) > max_canary_rows:
+    if document["exposure"]["m"] > max_canary_rows:
         out.write("\n(table truncated; the JSON report carries every row)\n")
     return out.getvalue()
 
@@ -228,16 +235,8 @@ def render_csv(document: dict) -> str:
     writer.writerow(
         ["index", "id", "loss", "replications", "rank", "exposure", "empirical_fpr"]
     )
-    for row in document["exposure"]["per_canary"]:
-        writer.writerow(
-            [
-                row["index"],
-                row["id"] if row["id"] is not None else "",
-                repr(row["loss"]),
-                row["replications"],
-                row["rank"],
-                repr(row["exposure"]),
-                repr(row["empirical_fpr"]),
-            ]
-        )
+    replications = document["dataset"]["replications"]
+    for index, rec_id, loss, rank, exposure, fpr in _canary_rows(document):
+        writer.writerow([index, "" if rec_id is None else rec_id, repr(loss),
+                         replications, rank, repr(exposure), repr(fpr)])
     return buf.getvalue()

@@ -77,6 +77,21 @@ def test_exposure_quantile_examples():
     assert exposure_quantile([5.0], 0.99) == 5.0
 
 
+def test_exposure_quantile_selects_the_sorted_element():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        m = int(rng.integers(1, 60))
+        x = rng.integers(-3, 4, size=m) / 2.0  # few distinct values: many ties
+        q = float(rng.uniform(0.0, 1.0)) or 0.5
+        for quantile in (q, 0.5, 0.75, 1.0 / m if m > 1 else 0.5):
+            want = np.sort(x)[math.ceil(quantile * m) - 1]
+            assert exposure_quantile(x, quantile) == want
+    x = rng.integers(0, 5, size=1001).astype(float)
+    before = x.copy()
+    assert exposure_quantile(x, 0.75) == np.sort(x)[750]
+    assert np.array_equal(x, before)  # the input is left unsorted
+
+
 def test_exposure_quantile_validation():
     with pytest.raises(ValueError):
         exposure_quantile([], 0.5)

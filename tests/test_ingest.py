@@ -229,6 +229,11 @@ ERROR_CASES = [
     ("csv", "role,loss\ncanary,1.0\rreference,2.0\n",
      "line 2: new-line character seen in unquoted field - "
      "do you need to open the file in universal-newline mode?"),
+    # a quoted field spans lines: later records keep their physical line numbers
+    ("csv", 'role,loss,id\ncanary,1.0,"a\nb"\nreference,x,\n',
+     "line 4: malformed loss 'x'"),
+    ("csv", 'role,loss,id\ncanary,1.0,"a\nb\nc"\n\nreference,2.0\n',
+     "line 6: expected 3 fields, got 2"),
 ]
 
 

@@ -30,19 +30,39 @@ def test_json_round_trip_equality():
     assert json.loads(render_json(document)) == document
 
 
-def test_json_round_trip_with_infinite_point_estimate():
+def _strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_is_strict_with_infinite_point_estimate():
     d = make_dataset([1.0, 2.0], [5.0, 6.0])  # separated: tpr 1 at fpr 0
-    result = audit_pipeline(d, operating_points=(0.0,))
-    document = build_report(d, result)
-    assert document["epsilon_bounds"][0]["point_estimate"] == math.inf
-    again = json.loads(render_json(document))
+    document = build_report(d, audit_pipeline(d, operating_points=(0.0,)))
+    again = _strict_loads(render_json(document))
     assert again == document
-    assert math.isinf(again["epsilon_bounds"][0]["point_estimate"])
+    row = again["epsilon_bounds"][0]
+    assert (row["tpr"], row["fpr"]) == (1.0, 0.0)
+    assert row["point_estimate"] is None
+    assert row["threshold"] == 5.0
+    assert "| fpr_target=0 | tpr_at_fpr | false | null |" in render_markdown(document)
+
+
+def test_json_is_strict_with_infinite_thresholds():
+    # canaries above every reference: nothing is classified a member until
+    # fpr 1, where the threshold is +inf
+    d = make_dataset([5.0, 6.0], [1.0, 2.0])
+    document = build_report(d, audit_pipeline(d, operating_points=(0.0, 1.0)))
+    at_zero, at_one = _strict_loads(render_json(document))["epsilon_bounds"]
+    assert at_zero["threshold"] is None  # -inf: no example classified a member
+    assert (at_zero["canary_hits"], at_zero["reference_hits"]) == (0, 0)
+    assert at_one["threshold"] is None  # +inf: every example classified a member
+    assert (at_one["canary_hits"], at_one["reference_hits"]) == (2, 2)
 
 
 def test_document_records_bound_context():
     _, document = _sample_document(replications=3)
-    assert document["schema_version"] == 1
+    assert document["schema_version"] == 2
     for row in document["epsilon_bounds"]:
         assert row["confidence"] == 0.95
         assert row["tie_policy"] == "pessimistic"
@@ -50,6 +70,26 @@ def test_document_records_bound_context():
         assert row["operating_point"] in ("median", "fpr_target=0.02")
     flags = [row["per_example"] for row in document["epsilon_bounds"]]
     assert flags.count(True) == 2 and flags.count(False) == 2
+
+
+def test_per_canary_columns_match_the_arrays():
+    d, document = _sample_document(replications=2)
+    report = audit_pipeline(d, operating_points=("median", 0.02)).exposure_report
+    columns = document["exposure"]["per_canary"]
+    assert list(columns) == ["id", "loss", "rank", "exposure", "empirical_fpr"]
+    assert all(len(column) == d.m for column in columns.values())
+    assert columns["id"] == list(d.canary_ids)
+    assert columns["loss"] == d.canary_losses.tolist()
+    assert columns["rank"] == report.ranks.tolist()
+    assert columns["exposure"] == report.exposures.tolist()
+    assert columns["empirical_fpr"] == report.empirical_fprs.tolist()
+    assert _strict_loads(render_json(document))["exposure"]["per_canary"] == columns
+
+
+def test_per_canary_id_column_is_null_without_ids():
+    d = make_dataset([0.5, 2.5], [1.0, 2.0, 3.0, 4.0])
+    document = build_report(d, audit_pipeline(d))
+    assert document["exposure"]["per_canary"]["id"] is None
 
 
 def test_document_baselines_cover_all_statistics():
@@ -176,3 +216,12 @@ def test_markdown_per_canary_table_golden():
     )
     untruncated = render_markdown(_golden_document(), max_canary_rows=5)
     assert untruncated.endswith("| 4 | f | 0.25 | 1 | 2.0 | 0.0 |\n")
+
+
+def test_json_is_strict_when_the_loss_sum_overflows():
+    # finite losses whose float64 sum is infinite: the summary mean stays finite
+    d = make_dataset([1e308, 1.7e308, 1.7e308], [-1e308, -1.5e308])
+    document = build_report(d, audit_pipeline(d))
+    summary = _strict_loads(render_json(document))["dataset"]
+    assert math.isclose(summary["canary_loss"]["mean"], 4.4 / 3 * 1e308, rel_tol=1e-12)
+    assert summary["reference_loss"]["mean"] == -1.25e308
