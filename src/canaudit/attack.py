@@ -83,8 +83,10 @@ def threshold_attack(d: AuditDataset, threshold: float) -> MIResult:
 def median_threshold(d: AuditDataset) -> float:
     """The nearest-rank lower median of the canary losses.
 
-    Always an actual canary's loss, so thresholding at it realizes the
-    canonical median-canary attack.
+    Always an actual canary's loss. The attack at this threshold counts
+    losses strictly below it, so it catches ceil(m/2) - 1 canaries when
+    no other canary ties the median loss (fewer when one does): its TPR
+    is below 1/2.
     """
     return exposure_quantile(d.sorted_canary_losses, 0.5)
 

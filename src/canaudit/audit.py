@@ -5,10 +5,13 @@ TPR/FPR <= exp(eps), so an observed operating point certifies
 
     eps >= ln(TPR / FPR).
 
-With the threshold placed at the median canary loss, TPR is 1/2 and FPR
-relates to the median canary's exposure, giving the equivalent form
-
-    eps >= ln(2) * (median exposure - 1).
+Every operating point reports this one point estimate, at its own
+counts. The ``median`` point thresholds at the lower-median canary loss
+and counts losses strictly below it, so its TPR is (ceil(m/2) - 1)/m
+when no other canary ties that loss (less when one does), not 1/2.
+Exposure gives the paper's reading of the same ratio,
+ln(2) * (median exposure - 1); it depends on the tie policy, so the
+report keeps it next to the exposure statistics, and no bound uses it.
 
 Empirical rates carry sampling error, so point estimates are paired with
 confidence-corrected bounds: one-sided Clopper-Pearson intervals on TPR
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 from scipy.special import betaincinv
 
 from .attack import MIResult, median_threshold, threshold_attack, tpr_at_fpr
-from .baseline import LN2, baseline_quantile_exposure
+from .baseline import LN2
 from .exposure import ExposureReport, exposure_all
 from .ingest import AuditDataset
 
@@ -42,11 +45,11 @@ INDEPENDENCE_NOTICE = (
 class EpsilonBound:
     """A certified epsilon lower bound with every input recorded.
 
-    ``point_estimate`` is the raw ln(TPR/FPR) (or its exposure-based
-    equivalent); it may be negative or infinite and is reported unfloored
-    for diagnostics. ``confident_lower_bound`` is the Clopper-Pearson
-    corrected value, floored at zero, and is finite even when the point
-    estimate is infinite because the FPR upper bound is always positive.
+    ``point_estimate`` is the raw ln(TPR/FPR); it may be negative or
+    infinite and is reported unfloored for diagnostics.
+    ``confident_lower_bound`` is the Clopper-Pearson corrected value,
+    floored at zero, and is finite even when the point estimate is
+    infinite because the FPR upper bound is always positive.
     """
 
     point_estimate: float
@@ -55,20 +58,18 @@ class EpsilonBound:
     alpha_split: tuple[float, float]
     tpr_lower: float
     fpr_upper: float
-    source: str
     replications: int
     per_example: bool
 
 
 @dataclass(frozen=True)
 class AuditOutcome:
-    """One operating point's attack result, bounds, and baseline."""
+    """One operating point's attack result and bounds."""
 
     operating_point: str
     mi: MIResult
     bound: EpsilonBound
     per_example_bound: EpsilonBound | None
-    baseline: dict
     warning: str | None
 
 
@@ -109,10 +110,10 @@ def epsilon_point(tpr: float, fpr: float) -> float:
 
 
 def epsilon_from_median_exposure(exposure_median: float) -> float:
-    """Epsilon lower bound implied by the median canary's exposure.
+    """The paper's exposure reading of epsilon, ln(2) * (exposure - 1).
 
-    ln(2) * (exposure - 1): a median exposure of 1 (the random-guessing
-    baseline) maps to zero certified leakage.
+    A median exposure of 1 (the random-guessing baseline) maps to zero.
+    It depends on the tie policy, so no bound uses it.
     """
     if not math.isfinite(exposure_median):
         raise ValueError(f"exposure_median must be finite, got {exposure_median!r}")
@@ -168,7 +169,6 @@ def epsilon_confident(d: AuditDataset, mi: MIResult, confidence: float) -> Epsil
         alpha_split=(alpha / 2.0, alpha / 2.0),
         tpr_lower=tpr_lower,
         fpr_upper=fpr_upper,
-        source="threshold",
         replications=d.replications,
         per_example=False,
     )
@@ -202,13 +202,13 @@ def audit_pipeline(
 ) -> AuditResult:
     """Exposure report plus epsilon bounds at each requested operating point.
 
-    Operating points are ``"median"`` (threshold at the median canary
-    loss; the point estimate converts the report's median exposure) or a
-    float FPR target in [0, 1] (best attack with at most that false
-    positive rate). Each outcome carries the matching random-guessing
-    baseline; when canaries were replicated, a per-example bound divided
-    by the replication count accompanies the raw one. Outcomes appear in
-    request order.
+    Operating points are ``"median"`` (threshold at the lower-median
+    canary loss) or a float FPR target in [0, 1] (best attack with at most
+    that false positive rate). Every bound is ``epsilon_confident`` at its
+    own attack's counts, so no bound depends on ``tie_policy``, which
+    only sets the exposure report's ranks. When canaries were replicated,
+    a per-example bound divided by the replication count accompanies the
+    raw one. Outcomes appear in request order.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
@@ -218,49 +218,24 @@ def audit_pipeline(
         warning = None
         if op == "median":
             mi = threshold_attack(d, median_threshold(d))
-            source = "median_exposure"
-            point = epsilon_from_median_exposure(report.quantile_exposures[0.5])
             label = "median"
-            baseline = {
-                "statistic": "median_exposure",
-                "baseline_value": baseline_quantile_exposure(0.5),
-                "baseline_epsilon": 0.0,
-            }
         elif isinstance(op, (int, float)) and not isinstance(op, bool):
             target = float(op)
             mi = tpr_at_fpr(d, target)
-            source = "tpr_at_fpr"
-            point = epsilon_point(mi.tpr, mi.fpr)
             label = f"fpr_target={target:g}"
             if 0.0 < target < 1.0 / d.n:
                 warning = (
                     f"fpr target {target:g} is below the achievable resolution "
                     f"1/n = {1.0 / d.n:g}; bound computed at achieved fpr {mi.fpr:g}"
                 )
-            baseline = {
-                "statistic": "tpr_at_fpr",
-                "baseline_value": mi.fpr,  # random guessing has tpr = fpr
-                "baseline_epsilon": 0.0,
-            }
         else:
             raise ValueError(
                 f"operating point must be 'median' or an fpr target in [0, 1], got {op!r}"
             )
-
-        bound = replace(
-            epsilon_confident(d, mi, confidence), point_estimate=point, source=source
-        )
+        bound = epsilon_confident(d, mi, confidence)
         per_example_bound = _per_example(bound) if d.replications > 1 else None
-        outcomes.append(
-            AuditOutcome(
-                operating_point=label,
-                mi=mi,
-                bound=bound,
-                per_example_bound=per_example_bound,
-                baseline=baseline,
-                warning=warning,
-            )
-        )
+        outcomes.append(AuditOutcome(operating_point=label, mi=mi, bound=bound,
+                                     per_example_bound=per_example_bound, warning=warning))
     return AuditResult(
         exposure_report=report,
         outcomes=tuple(outcomes),

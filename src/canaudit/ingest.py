@@ -48,14 +48,22 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _normalize_id(rec_id: str | None) -> str | None:
+    if rec_id is not None and not isinstance(rec_id, str):
+        raise DatasetError(f"ids must be strings or None, got {rec_id!r}")
+    return (rec_id or "").strip() or None
+
+
 @dataclass(frozen=True, eq=False)
 class AuditDataset:
     """Validated m canary and n reference losses, as read-only float64 arrays.
 
     Order within each role is preserved from the source so report rows
-    can be joined back to user metadata by position or id. A role's ids
-    are None when no example of that role has one. All canaries share one
-    replication count: one experiment audits one duplication level.
+    can be joined back to user metadata by position or id. An id is a
+    string with surrounding whitespace removed, and an empty one is None
+    (no id), whichever format it came from. A role's ids are None when no
+    example of that role has one. All canaries share one replication
+    count: one experiment audits one duplication level.
     """
 
     canary_losses: np.ndarray
@@ -75,7 +83,7 @@ class AuditDataset:
                 raise DatasetError(f"{role} losses must be finite")
             ids = getattr(self, f"{role}_ids")
             if ids is not None:
-                ids = tuple(ids)
+                ids = tuple(map(_normalize_id, ids))
                 if len(ids) != losses.size:
                     raise DatasetError(f"{role} ids: got {len(ids)} for {losses.size} losses")
                 if all(rec_id is None for rec_id in ids):
@@ -221,7 +229,7 @@ def _parse_csv(text: str) -> _Columns:
         fields = dict(zip(header, row))
         role = _normalize_role(fields["role"], line)
         loss = _parse_loss(fields["loss"], line)
-        rec_id = fields.get("id", "").strip() or None
+        rec_id = fields.get("id")
         reps_token = fields.get("replications", "").strip()
         reps = _parse_replications(reps_token, role, line) if reps_token else 1
         columns.append(role, loss, rec_id, reps)

@@ -5,7 +5,8 @@ formats values straight out of the document (via ``json.dumps`` per
 value), so every number in the Markdown appears verbatim in the JSON and
 nothing is ever computed twice.
 
-Per-canary values are stored as columns; the JSON is strict (null for inf).
+Per-canary values are stored as columns; the JSON is strict (null for inf)
+and compact, one line (``jq .`` indents it).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import math
 import numpy as np
 
 from . import __version__
-from .audit import INDEPENDENCE_NOTICE, AuditResult
+from .audit import INDEPENDENCE_NOTICE, AuditResult, epsilon_from_median_exposure
 from .baseline import _monte_carlo_stats
 from .ingest import AuditDataset, dataset_summary
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _MC_TRIALS = 200
 _MC_SEED = 0
@@ -84,7 +85,6 @@ def _bound_rows(result: AuditResult) -> list[dict]:
             rows.append(
                 {
                     "operating_point": outcome.operating_point,
-                    "source": bound.source,
                     "threshold": _finite_or_none(outcome.mi.threshold),
                     "tpr": outcome.mi.tpr,
                     "fpr": outcome.mi.fpr,
@@ -96,10 +96,8 @@ def _bound_rows(result: AuditResult) -> list[dict]:
                     "alpha_split": list(bound.alpha_split),
                     "tpr_lower": bound.tpr_lower,
                     "fpr_upper": bound.fpr_upper,
-                    "tie_policy": result.tie_policy,
                     "replications": bound.replications,
                     "per_example": bound.per_example,
-                    "baseline": dict(outcome.baseline),
                 }
             )
     return rows
@@ -126,6 +124,8 @@ def build_report(
             "n": report.n,
             "mean_exposure": report.mean_exposure,
             "quantile_exposures": {str(q): v for q, v in report.quantile_exposures.items()},
+            "epsilon_from_median_exposure": epsilon_from_median_exposure(
+                report.quantile_exposures[0.5]),
             "per_canary": {
                 "id": None if d.canary_ids is None else list(d.canary_ids),
                 "loss": d.canary_losses.tolist(),
@@ -142,13 +142,20 @@ def build_report(
 
 
 def render_json(document: dict) -> str:
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    return json.dumps(document, allow_nan=False) + "\n"
 
 
 def _fmt(value) -> str:
     # json.dumps of a scalar reproduces exactly the token the JSON
     # rendering contains, keeping Markdown numbers verbatim-checkable.
     return json.dumps(value)
+
+
+def _cell(text: str) -> str:
+    """Text as one Markdown table cell: backslashes and pipes escaped, and
+    each line break written as <br>, so it stays one cell of one row."""
+    text = text.replace("\\", "\\\\").replace("|", "\\|").replace("\r\n", "\n")
+    return text.replace("\r", "\n").replace("\n", "<br>")
 
 
 def _canary_rows(document: dict):
@@ -190,15 +197,20 @@ def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
             f"| {_fmt(row['asymptotic'])} "
             f"| {_fmt(row['mc_mean'])} ({_fmt(row['mc_std'])}) |\n"
         )
+    out.write(
+        "\nepsilon from median exposure, ln(2) * (median exposure - 1), "
+        f"tie policy {document['parameters']['tie_policy']}: "
+        f"{_fmt(document['exposure']['epsilon_from_median_exposure'])}\n"
+    )
 
     out.write("\n## Epsilon lower bounds\n\n")
-    out.write("| operating point | source | per-example | point estimate "
+    out.write("| operating point | per-example | point estimate "
               "| confident lower bound | confidence | tpr | fpr |\n")
-    out.write("|---|---|---|---|---|---|---|---|\n")
+    out.write("|---|---|---|---|---|---|---|\n")
     for row in document["epsilon_bounds"]:
         out.write(
-            f"| {row['operating_point']} | {row['source']} "
-            f"| {_fmt(row['per_example'])} | {_fmt(row['point_estimate'])} "
+            f"| {row['operating_point']} | {_fmt(row['per_example'])} "
+            f"| {_fmt(row['point_estimate'])} "
             f"| {_fmt(row['confident_lower_bound'])} | {_fmt(row['confidence'])} "
             f"| {_fmt(row['tpr'])} | {_fmt(row['fpr'])} |\n"
         )
@@ -219,8 +231,9 @@ def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
     out.write("|---|---|---|---|---|---|\n")
     rows = itertools.islice(_canary_rows(document), max_canary_rows)
     for index, rec_id, loss, rank, exposure, fpr in rows:
+        rec_id = "-" if rec_id is None else _cell(rec_id)
         out.write(
-            f"| {_fmt(index)} | {'-' if rec_id is None else rec_id} | {_fmt(loss)} "
+            f"| {_fmt(index)} | {rec_id} | {_fmt(loss)} "
             f"| {_fmt(rank)} | {_fmt(exposure)} | {_fmt(fpr)} |\n"
         )
     if document["exposure"]["m"] > max_canary_rows:

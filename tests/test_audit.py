@@ -6,6 +6,7 @@ import pytest
 from canaudit import (
     GaussianShiftModel,
     audit_pipeline,
+    build_report,
     clopper_pearson,
     epsilon_confident,
     epsilon_from_median_exposure,
@@ -132,7 +133,6 @@ def test_confident_bound_records_inputs():
     bound = epsilon_confident(d, mi, 0.9)
     assert bound.confidence == 0.9
     assert bound.alpha_split == ((1 - 0.9) / 2, (1 - 0.9) / 2)
-    assert bound.source == "threshold"
     assert bound.replications == 1
     assert not bound.per_example
     assert bound.tpr_lower <= mi.tpr
@@ -179,12 +179,15 @@ def test_pipeline_point_estimate_is_internally_consistent():
     d = simulate(GaussianShiftModel(mu=3.0, sigma=1.0, m=10_000, n=10_000, seed=3))
     result = audit_pipeline(d, operating_points=("median",))
     outcome = result.outcomes[0]
-    by_hand = math.log(2.0) * (result.exposure_report.quantile_exposures[0.5] - 1.0)
-    assert outcome.bound.point_estimate == pytest.approx(by_hand, rel=1e-12)
-    assert outcome.bound.point_estimate == pytest.approx(
-        epsilon_from_median_exposure(result.exposure_report.quantile_exposures[0.5]),
-        abs=0.0,
-    )
+    by_hand = math.log(outcome.mi.tpr / outcome.mi.fpr)
+    assert outcome.bound.point_estimate == by_hand
+    assert outcome.bound.point_estimate == epsilon_point(outcome.mi.tpr, outcome.mi.fpr)
+    median_exposure = result.exposure_report.quantile_exposures[0.5]
+    document = build_report(d, result)
+    assert document["exposure"]["epsilon_from_median_exposure"] == pytest.approx(
+        math.log(2.0) * (median_exposure - 1.0), rel=1e-12)
+    assert document["exposure"]["epsilon_from_median_exposure"] == (
+        epsilon_from_median_exposure(median_exposure))
     assert outcome.bound.point_estimate > 1.0
     assert outcome.bound.confident_lower_bound > 0.5
 
@@ -233,9 +236,6 @@ def test_pipeline_respects_request_order_and_baselines():
     result = audit_pipeline(d, operating_points=(0.5, "median"))
     assert result.outcomes[0].operating_point == "fpr_target=0.5"
     assert result.outcomes[1].operating_point == "median"
-    assert result.outcomes[0].baseline["baseline_epsilon"] == 0.0
-    assert result.outcomes[1].baseline["statistic"] == "median_exposure"
-    assert result.outcomes[1].baseline["baseline_value"] == 1.0
 
 
 def test_pipeline_rejects_bad_operating_point():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from canaudit import parse_dataset, serialize_dataset
+from canaudit import audit_pipeline, parse_dataset, serialize_dataset
 from canaudit.cli import main
 
 from conftest import make_dataset
@@ -55,7 +55,11 @@ def test_audit_reports_raw_and_per_example_bounds(tmp_path, capsys):
     per = next(r for r in rows if r["per_example"])
     assert raw["confident_lower_bound"] > 0.0
     assert per["confident_lower_bound"] == raw["confident_lower_bound"] / 4
-    assert per["point_estimate"] == raw["point_estimate"] / 4
+    # fpr 0: both point estimates are infinite, null in the JSON
+    assert raw["fpr"] == 0.0
+    assert raw["point_estimate"] is None and per["point_estimate"] is None
+    outcome = audit_pipeline(d).outcomes[0]
+    assert outcome.per_example_bound.point_estimate == outcome.bound.point_estimate / 4
 
 
 def test_audit_warns_on_unachievable_fpr_target(tmp_path, capsys):

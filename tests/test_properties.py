@@ -1,0 +1,108 @@
+"""Property tests of the invariants exposure, audit and ingest promise."""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, strategies as st
+
+from canaudit import (
+    TIE_POLICIES,
+    AuditDataset,
+    audit_pipeline,
+    epsilon_confident,
+    exposure_all,
+    parse_dataset,
+    serialize_dataset,
+    threshold_attack,
+)
+
+from conftest import make_dataset
+
+# Losses from a coarse grid tie often; arbitrary finite floats rarely do.
+tie_prone_losses = st.lists(
+    st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)),
+    min_size=1, max_size=30,
+)
+
+OPERATING_POINTS = ("median", 0.0, 0.1, 0.5, 1.0)
+
+
+@given(tie_prone_losses, tie_prone_losses, st.sampled_from(TIE_POLICIES), st.data())
+def test_aggregates_and_rows_are_permutation_invariant(canaries, references,
+                                                       tie_policy, data):
+    c_order = data.draw(st.permutations(range(len(canaries))))
+    r_order = data.draw(st.permutations(range(len(references))))
+    d = make_dataset(canaries, references)
+    shuffled = make_dataset(np.array(canaries)[c_order], np.array(references)[r_order])
+
+    report = exposure_all(d, tie_policy)
+    again = exposure_all(shuffled, tie_policy)
+    assert again.quantile_exposures == report.quantile_exposures
+    # the mean sums in another order, so it may differ in the last bits
+    assert math.isclose(again.mean_exposure, report.mean_exposure,
+                        rel_tol=1e-12, abs_tol=1e-12)
+    assert again.exposures.tolist() == report.exposures[c_order].tolist()
+
+    rows, rows_again = (audit_pipeline(x, OPERATING_POINTS, tie_policy=tie_policy).outcomes
+                        for x in (d, shuffled))
+    assert rows_again == rows
+
+
+@given(tie_prone_losses, tie_prone_losses)
+def test_pessimistic_exposure_never_exceeds_optimistic(canaries, references):
+    d = make_dataset(canaries, references)
+    pessimistic = exposure_all(d, "pessimistic").exposures
+    optimistic = exposure_all(d, "optimistic").exposures
+    assert (pessimistic <= optimistic).all()
+
+
+@given(tie_prone_losses, tie_prone_losses)
+def test_audit_rows_do_not_depend_on_the_tie_policy(canaries, references):
+    d = make_dataset(canaries, references, replications=2)
+    pessimistic, optimistic = (audit_pipeline(d, OPERATING_POINTS, tie_policy=policy)
+                               for policy in TIE_POLICIES)
+    assert pessimistic.outcomes == optimistic.outcomes
+
+
+@given(st.integers(1, 2000), st.integers(1, 2000), st.data(),
+       st.floats(0.001, 0.999999), st.floats(0.001, 0.999999))
+def test_certified_epsilon_does_not_rise_with_confidence(m, n, data, c1, c2):
+    h = data.draw(st.integers(0, m))
+    k = data.draw(st.integers(0, n))
+    # h canaries and k references below the threshold 1.0
+    d = make_dataset([0.0] * h + [2.0] * (m - h), [0.0] * k + [2.0] * (n - k))
+    mi = threshold_attack(d, 1.0)
+    low, high = sorted((c1, c2))
+    assert (epsilon_confident(d, mi, high).confident_lower_bound
+            <= epsilon_confident(d, mi, low).confident_lower_bound)
+
+
+EDGE_LOSSES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+any_loss = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from(EDGE_LOSSES))
+any_id = st.one_of(st.none(), st.text(), st.sampled_from(["", " a", "a ", "\t", "x,y",
+                                                          'q"', "l\nm", "r\r", " "]))
+
+
+@st.composite
+def datasets(draw):
+    canaries = draw(st.lists(any_loss, min_size=1, max_size=12))
+    references = draw(st.lists(any_loss, min_size=1, max_size=12))
+    ids = [draw(st.none() | st.lists(any_id, min_size=len(losses), max_size=len(losses)))
+           for losses in (canaries, references)]
+    return AuditDataset(canaries, references, *ids, replications=draw(st.integers(1, 4)))
+
+
+def _bits(losses):
+    return losses.view(np.uint64).tolist()
+
+
+@given(datasets(), st.sampled_from(["csv", "jsonl"]))
+@example(make_dataset([1.0, 2.0], [3.0], ids=["", " a"]), "csv")
+def test_parse_inverts_serialize_bit_for_bit(d, format):
+    again = parse_dataset(serialize_dataset(d, format), format)
+    assert again == d
+    assert again.canary_ids == d.canary_ids and again.reference_ids == d.reference_ids
+    assert _bits(again.canary_losses) == _bits(d.canary_losses)
+    assert _bits(again.reference_losses) == _bits(d.reference_losses)

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 
 from canaudit import (
+    TIE_POLICIES,
     GaussianShiftModel,
     audit_pipeline,
     build_report,
@@ -45,7 +47,7 @@ def test_json_is_strict_with_infinite_point_estimate():
     assert (row["tpr"], row["fpr"]) == (1.0, 0.0)
     assert row["point_estimate"] is None
     assert row["threshold"] == 5.0
-    assert "| fpr_target=0 | tpr_at_fpr | false | null |" in render_markdown(document)
+    assert "| fpr_target=0 | false | null |" in render_markdown(document)
 
 
 def test_json_is_strict_with_infinite_thresholds():
@@ -62,10 +64,10 @@ def test_json_is_strict_with_infinite_thresholds():
 
 def test_document_records_bound_context():
     _, document = _sample_document(replications=3)
-    assert document["schema_version"] == 2
+    assert document["schema_version"] == 3
+    assert document["parameters"]["tie_policy"] == "pessimistic"
     for row in document["epsilon_bounds"]:
         assert row["confidence"] == 0.95
-        assert row["tie_policy"] == "pessimistic"
         assert row["replications"] == 3
         assert row["operating_point"] in ("median", "fpr_target=0.02")
     flags = [row["per_example"] for row in document["epsilon_bounds"]]
@@ -225,3 +227,51 @@ def test_json_is_strict_when_the_loss_sum_overflows():
     summary = _strict_loads(render_json(document))["dataset"]
     assert math.isclose(summary["canary_loss"]["mean"], 4.4 / 3 * 1e308, rel_tol=1e-12)
     assert summary["reference_loss"]["mean"] == -1.25e308
+
+
+def test_median_row_is_its_own_attack_under_both_tie_policies():
+    # ties at the median canary loss: the median attack and the fpr 0.3
+    # attack are the same point, threshold 1.0 with 1 canary and no
+    # reference below it; only the exposure-form number sees the tie policy
+    d = make_dataset([0.0, 1.0, 1.0, 1.0, 5.0],
+                     [1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 6.0, 7.0, 8.0])
+    rows = {}
+    exposure_form = {}
+    for tie_policy in TIE_POLICIES:
+        result = audit_pipeline(d, operating_points=("median", 0.3), tie_policy=tie_policy)
+        document = _strict_loads(render_json(build_report(d, result)))
+        median, at_target = rows[tie_policy] = document["epsilon_bounds"]
+        for row in (median, at_target):
+            assert row["threshold"] == 1.0
+            assert (row["canary_hits"], row["reference_hits"]) == (1, 0)
+            assert (row["tpr"], row["fpr"]) == (0.2, 0.0)
+            assert row["point_estimate"] is None  # ln(0.2 / 0), infinite
+        assert {**median, "operating_point": None} == {**at_target, "operating_point": None}
+        exposure_form[tie_policy] = document["exposure"]["epsilon_from_median_exposure"]
+    assert rows["pessimistic"] == rows["optimistic"]
+    assert exposure_form["pessimistic"] == 0.0
+    assert exposure_form["optimistic"] == math.log(5.0)
+
+
+def test_markdown_per_canary_table_escapes_ids():
+    d = make_dataset([0.5, 1.5, 2.5], [1.0, 2.0], ids=["a|b", "x\ny", "p\\|q"])
+    md = render_markdown(build_report(d, audit_pipeline(d)))
+    table = md[md.index("## Per-canary exposure"):].splitlines()[2:]
+    assert table == [
+        "| index | id | loss | rank | exposure | empirical fpr |",
+        "|---|---|---|---|---|---|",
+        "| 0 | a\\|b | 0.5 | 1 | 1.0 | 0.0 |",
+        "| 1 | x<br>y | 1.5 | 2 | 0.0 | 0.5 |",
+        "| 2 | p\\\\\\|q | 2.5 | 3 | -0.5849625007211561 | 1.0 |",
+    ]
+    for row in table:  # seven pipes once each escaped character is removed
+        assert re.sub(r"\\.", "", row).count("|") == 7
+
+
+def test_markdown_shows_the_exposure_form_epsilon():
+    _, document = _sample_document()
+    value = document["exposure"]["epsilon_from_median_exposure"]
+    median_exposure = document["exposure"]["quantile_exposures"]["0.5"]
+    assert value == math.log(2.0) * (median_exposure - 1.0)
+    assert ("\nepsilon from median exposure, ln(2) * (median exposure - 1), "
+            f"tie policy pessimistic: {json.dumps(value)}\n") in render_markdown(document)
