@@ -36,6 +36,7 @@ from .baseline import (
     expected_exposure_asymptote,
     expected_exposure_exact,
     monte_carlo_baseline,
+    quantile_p_value,
 )
 from .exposure import (
     TIE_POLICIES,
@@ -86,6 +87,7 @@ __all__ = [
     "median_threshold",
     "monte_carlo_baseline",
     "parse_dataset",
+    "quantile_p_value",
     "rank",
     "render_csv",
     "render_json",

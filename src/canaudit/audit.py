@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.special import betaincinv
-
 from .attack import MIResult, median_threshold, threshold_attack, tpr_at_fpr
 from .baseline import LN2
 from .exposure import ExposureReport, exposure_all
@@ -83,12 +81,8 @@ class AuditResult:
     tie_policy: str
 
     def bounds(self) -> list[EpsilonBound]:
-        out = []
-        for outcome in self.outcomes:
-            out.append(outcome.bound)
-            if outcome.per_example_bound is not None:
-                out.append(outcome.per_example_bound)
-        return out
+        return [bound for outcome in self.outcomes
+                for bound in (outcome.bound, outcome.per_example_bound) if bound is not None]
 
 
 def epsilon_point(tpr: float, fpr: float) -> float:
@@ -128,6 +122,7 @@ def clopper_pearson(k: int, trials: int, alpha: float, side: str) -> float:
     sup{p : P[Bin(trials, p) <= k] >= alpha} (1 when k = trials). Both are
     quantiles of the regularized incomplete beta function.
     """
+    from scipy.special import betaincinv
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= k <= trials:

@@ -162,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(func=_cmd_audit)
 
     baseline = sub.add_parser(
-        "baseline", help="random-guessing baseline for an exposure statistic"
+        "baseline", help="random-guessing baseline for an exposure statistic",
+        description="Monte Carlo under iid uniform ranks. It ignores reference-sampling "
+        "noise, so its std understates an audit's null spread, by up to sqrt(2) at m = n.",
     )
     baseline.add_argument("--m", type=int, required=True, help="number of canaries")
     baseline.add_argument("--n", type=int, required=True, help="number of references")

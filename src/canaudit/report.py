@@ -7,6 +7,13 @@ nothing is ever computed twice.
 
 Per-canary values are stored as columns; the JSON is strict (null for inf)
 and compact, one line (``jq .`` indents it).
+
+Each ``baselines`` row holds an exposure aggregate, its ``exact``
+(finite-n, mean only) and ``asymptotic`` random-guessing values, and a
+``p_value`` under the permutation null (``baseline.quantile_p_value``).
+Pessimistic ties make the p-value conservative; with optimistic ties it
+is not valid on tied losses. The mean has none: its null has no closed
+form, and a normal approximation rejects too often at small m.
 """
 
 from __future__ import annotations
@@ -21,13 +28,12 @@ import numpy as np
 
 from . import __version__
 from .audit import INDEPENDENCE_NOTICE, AuditResult, epsilon_from_median_exposure
-from .baseline import _monte_carlo_stats
+from .baseline import (baseline_quantile_exposure, expected_exposure_asymptote,
+                       expected_exposure_exact, quantile_p_value)
+from .exposure import ExposureReport
 from .ingest import AuditDataset, dataset_summary
 
-SCHEMA_VERSION = 3
-
-_MC_TRIALS = 200
-_MC_SEED = 0
+SCHEMA_VERSION = 4
 
 
 def _histogram(exposures: np.ndarray, n: int, bins: int | None) -> dict:
@@ -47,29 +53,14 @@ def _histogram(exposures: np.ndarray, n: int, bins: int | None) -> dict:
     }
 
 
-def _baseline_rows(result: AuditResult, m: int, n: int) -> list[dict]:
-    observed = {
-        ("mean", None): result.exposure_report.mean_exposure,
-        ("quantile", 0.5): result.exposure_report.quantile_exposures[0.5],
-        ("quantile", 0.75): result.exposure_report.quantile_exposures[0.75],
-    }
-    specs = list(observed.keys())
-    summaries = _monte_carlo_stats(m, n, specs, trials=_MC_TRIALS, seed=_MC_SEED)
-    rows = []
-    for (statistic, q), summary in zip(specs, summaries):
-        rows.append(
-            {
-                "statistic": statistic,
-                "q": q,
-                "observed": observed[(statistic, q)],
-                "exact": summary.exact_value,
-                "asymptotic": summary.asymptotic_value,
-                "mc_mean": summary.mc_mean,
-                "mc_std": summary.mc_std,
-                "mc_trials": summary.trials,
-                "mc_seed": summary.seed,
-            }
-        )
+def _baseline_rows(report: ExposureReport) -> list[dict]:
+    rows = [{"statistic": "mean", "q": None, "observed": report.mean_exposure,
+             "exact": expected_exposure_exact(report.n),
+             "asymptotic": expected_exposure_asymptote(), "p_value": None}]
+    for q, observed in report.quantile_exposures.items():
+        rows.append({"statistic": "quantile", "q": q, "observed": observed,
+                     "exact": None, "asymptotic": baseline_quantile_exposure(q),
+                     "p_value": quantile_p_value(report.ranks, report.n, q)})
     return rows
 
 
@@ -134,7 +125,7 @@ def build_report(
                 "empirical_fpr": report.empirical_fprs.tolist(),
             },
         },
-        "baselines": _baseline_rows(result, d.m, d.n),
+        "baselines": _baseline_rows(report),
         "epsilon_bounds": _bound_rows(result),
         "warnings": warnings,
         "histogram": _histogram(report.exposures, d.n, histogram_bins),
@@ -187,16 +178,14 @@ def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
 
     out.write("\n## Exposure vs. random guessing\n\n")
     out.write("| statistic | observed | exact baseline | asymptotic baseline "
-              "| Monte Carlo baseline (std) |\n")
+              "| p-value |\n")
     out.write("|---|---|---|---|---|\n")
     for row in document["baselines"]:
         name = row["statistic"] if row["q"] is None else f"quantile {_fmt(row['q'])}"
-        exact = "-" if row["exact"] is None else _fmt(row["exact"])
-        out.write(
-            f"| {name} | {_fmt(row['observed'])} | {exact} "
-            f"| {_fmt(row['asymptotic'])} "
-            f"| {_fmt(row['mc_mean'])} ({_fmt(row['mc_std'])}) |\n"
-        )
+        exact, p_value = ("-" if row[key] is None else _fmt(row[key])
+                          for key in ("exact", "p_value"))
+        out.write(f"| {name} | {_fmt(row['observed'])} | {exact} "
+                  f"| {_fmt(row['asymptotic'])} | {p_value} |\n")
     out.write(
         "\nepsilon from median exposure, ln(2) * (median exposure - 1), "
         f"tie policy {document['parameters']['tie_policy']}: "

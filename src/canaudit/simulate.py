@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .ingest import AuditDataset
 
@@ -47,6 +46,7 @@ class GaussianShiftModel:
 def _normal_samples(rng: np.random.Generator, size: int) -> np.ndarray:
     # Inverse-CDF transform of uniforms; this sampling path is part of the
     # output contract and pinned by golden tests.
+    from scipy.special import ndtri
     u = np.maximum(rng.random(size), _U_FLOOR)
     return ndtri(u)
 
@@ -69,6 +69,7 @@ def analytic_operating_point(
     model: GaussianShiftModel, threshold: float
 ) -> tuple[float, float]:
     """Population (tpr, fpr) of the threshold attack under the model."""
+    from scipy.special import ndtr
     tpr = float(ndtr((threshold + model.mu) / model.sigma))
     fpr = float(ndtr(threshold / model.sigma))
     return tpr, fpr

@@ -81,6 +81,17 @@ def binom_cdf(k: int, n: int, p: float) -> float:
     return math.fsum(comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(k + 1))
 
 
+def comb_quantile_p_value(ranks, n: int, q: float) -> float:
+    """P[k-th smallest canary rank <= observed] over all interleavings of the
+    m canaries among the n references, by exact math.comb summation; k is
+    the rank behind the q-quantile exposure."""
+    m = len(ranks)
+    k = m - math.ceil(q * m) + 1
+    draws = k + sorted(ranks)[k - 1] - 1  # the first positions hold >= k canaries
+    hits = sum(comb(m, i) * comb(n, draws - i) for i in range(k, min(m, draws) + 1))
+    return hits / comb(m + n, draws)  # int / int rounds correctly
+
+
 def grid_clopper_pearson(k: int, n: int, alpha: float, side: str, step: float = 1e-6):
     """Clopper-Pearson bound located on a uniform p-grid.
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,12 @@ from canaudit import (
     baseline_quantile_exposure,
     expected_exposure_asymptote,
     expected_exposure_exact,
+    exposure_quantile,
     monte_carlo_baseline,
+    quantile_p_value,
 )
+
+from conftest import comb_quantile_p_value
 
 
 def summation_oracle(n: int) -> float:
@@ -132,3 +137,41 @@ def test_monte_carlo_validation():
         monte_carlo_baseline(5, 5, "mean", trials=5, seed=0, q=0.5)  # stray q
     with pytest.raises(ValueError):
         monte_carlo_baseline(5, 5, "quantile", trials=5, seed=0, q=1.5)
+
+
+def _interleavings(m, n):
+    """Sorted canary ranks of every placement of m canaries among n references."""
+    for positions in itertools.combinations(range(m + n), m):
+        yield np.array([p - i + 1 for i, p in enumerate(positions)])
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 4), (4, 2), (3, 6)])
+@pytest.mark.parametrize("q", [0.5, 0.75])
+def test_quantile_p_value_matches_enumeration(m, n, q):
+    # every interleaving is equally likely under the null; p is the share
+    # whose quantile exposure is at least the observed one
+    every = list(_interleavings(m, n))
+    stats = [exposure_quantile(np.log2(n) - np.log2(ranks), q) for ranks in every]
+    for ranks, observed in zip(every, stats):
+        expected = sum(s >= observed for s in stats) / len(stats)
+        assert abs(quantile_p_value(ranks, n, q) - expected) <= 1e-12
+
+
+def test_quantile_p_value_matches_exact_integer_sum():
+    rng = np.random.default_rng(5)
+    cases = [(np.ones(200, dtype=np.int64), 200), (np.full(200, 201), 200),
+             (np.array([1]), 1), (np.array([2]), 1)]
+    for _ in range(200):
+        m, n = (int(x) for x in rng.integers(1, 201, size=2))
+        cases.append((rng.integers(1, n + 2, size=m), n))
+    for ranks, n in cases:
+        for q in (0.01, 0.5, 0.75, 0.99):
+            want = comb_quantile_p_value(ranks.tolist(), n, q)
+            assert quantile_p_value(ranks, n, q) == pytest.approx(want, rel=1e-9)
+
+
+def test_quantile_p_value_validation():
+    for ranks, n, q in (([1, 2], 2, 0.0), ([1, 2], 2, 1.0), ([], 2, 0.5),
+                        ([1, 2], 0, 0.5), ([0, 2], 2, 0.99), ([1, 4], 2, 0.01)):
+        with pytest.raises(ValueError):
+            quantile_p_value(np.array(ranks, dtype=np.int64), n, q)

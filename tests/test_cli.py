@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import canaudit
 from canaudit import audit_pipeline, parse_dataset, serialize_dataset
 from canaudit.cli import main
 
@@ -189,6 +194,26 @@ def test_roc_command_out_file_null_data(tmp_path, capsys):
     for line in lines[1:]:
         _, fpr, tpr = (float(x) for x in line.split(","))
         assert abs(tpr - fpr) < 0.12
+
+
+def test_import_and_roc_leave_scipy_unloaded(tmp_path):
+    # scipy.special is a third of the start-up time, and only the
+    # statistics need it
+    path = _write_dataset(tmp_path, make_dataset([1.0, 3.0], [2.0]))
+    out_file = str(tmp_path / "sweep.csv")
+    code = ("import sys\n"
+            "import canaudit\n"
+            "from canaudit.cli import main\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"assert main(['roc', {path!r}, '--out-file', {out_file!r}]) == 0\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n")
+    src = str(Path(canaudit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    assert open(out_file).read().startswith("threshold,fpr,tpr\n")
 
 
 def test_simulate_writes_loadable_file(tmp_path, capsys):

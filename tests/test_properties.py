@@ -12,6 +12,7 @@ from canaudit import (
     epsilon_confident,
     exposure_all,
     parse_dataset,
+    quantile_p_value,
     serialize_dataset,
     threshold_attack,
 )
@@ -46,6 +47,19 @@ def test_aggregates_and_rows_are_permutation_invariant(canaries, references,
     rows, rows_again = (audit_pipeline(x, OPERATING_POINTS, tie_policy=tie_policy).outcomes
                         for x in (d, shuffled))
     assert rows_again == rows
+
+
+@given(tie_prone_losses, tie_prone_losses, st.sampled_from(TIE_POLICIES),
+       st.sampled_from([0.5, 0.75]), st.data())
+def test_quantile_p_value_falls_as_canary_losses_fall(canaries, references, tie_policy,
+                                                      q, data):
+    drops = data.draw(st.lists(st.floats(0.0, 10.0), min_size=len(canaries),
+                               max_size=len(canaries)))
+    lowered = np.array(canaries) - np.array(drops)
+    p, p_lowered = (quantile_p_value(exposure_all(make_dataset(c, references), tie_policy)
+                                     .ranks, len(references), q)
+                    for c in (canaries, lowered))
+    assert 0.0 < p_lowered <= p <= 1.0
 
 
 @given(tie_prone_losses, tie_prone_losses)

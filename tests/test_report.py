@@ -3,19 +3,21 @@ import math
 import re
 
 import numpy as np
+import pytest
 
 from canaudit import (
     TIE_POLICIES,
     GaussianShiftModel,
     audit_pipeline,
     build_report,
+    exposure_all,
     render_csv,
     render_json,
     render_markdown,
     simulate,
 )
 
-from conftest import make_dataset
+from conftest import comb_quantile_p_value, make_dataset
 
 
 def _sample_document(replications=1, bins=None):
@@ -64,7 +66,7 @@ def test_json_is_strict_with_infinite_thresholds():
 
 def test_document_records_bound_context():
     _, document = _sample_document(replications=3)
-    assert document["schema_version"] == 3
+    assert document["schema_version"] == 4
     assert document["parameters"]["tie_policy"] == "pessimistic"
     for row in document["epsilon_bounds"]:
         assert row["confidence"] == 0.95
@@ -101,7 +103,9 @@ def test_document_baselines_cover_all_statistics():
     for row in document["baselines"]:
         if row["statistic"] == "mean":
             assert row["exact"] is not None
-        assert row["mc_trials"] >= 1
+            assert row["p_value"] is None
+        else:
+            assert 0.0 < row["p_value"] <= 1.0
 
 
 def test_independence_notice_always_present():
@@ -140,9 +144,35 @@ def test_markdown_numbers_appear_verbatim_in_json():
             assert token in md
             assert token in json_text
     for row in document["baselines"]:
-        for key in ("observed", "asymptotic", "mc_mean"):
-            assert json.dumps(row[key]) in md
-            assert json.dumps(row[key]) in json_text
+        for key in ("observed", "exact", "asymptotic", "p_value"):
+            if row[key] is not None:
+                assert json.dumps(row[key]) in md
+                assert json.dumps(row[key]) in json_text
+
+
+def test_markdown_baseline_table():
+    _, document = _sample_document()
+    mean, median, upper = document["baselines"]
+    f = json.dumps
+    table = [
+        "| statistic | observed | exact baseline | asymptotic baseline | p-value |",
+        "|---|---|---|---|---|",
+        f"| mean | {f(mean['observed'])} | {f(mean['exact'])} | {f(mean['asymptotic'])} | - |",
+        f"| quantile 0.5 | {f(median['observed'])} | - | 1.0 | {f(median['p_value'])} |",
+        f"| quantile 0.75 | {f(upper['observed'])} | - | 2.0 | {f(upper['p_value'])} |",
+    ]
+    md = render_markdown(document)
+    assert md[md.index(table[0]):].splitlines()[:5] == table
+
+
+def test_quantile_rows_read_the_integer_rank():
+    d, document = _sample_document()
+    ranks = np.sort(exposure_all(d).ranks)
+    for row in document["baselines"][1:]:
+        r = int(ranks[d.m - math.ceil(row["q"] * d.m)])  # the k-th smallest rank
+        assert row["observed"] == float(np.log2(d.n) - np.log2(r))
+        assert row["p_value"] == pytest.approx(
+            comb_quantile_p_value(ranks.tolist(), d.n, row["q"]), rel=1e-9)
 
 
 def test_markdown_extracted_numbers_all_come_from_json():
