@@ -146,7 +146,6 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
     the tail's largest are summed, so the cost is O(sd), not O(m + n); a p
     below the smallest float reads 0.
     """
-    from scipy.special import gammaln
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
     ranks = np.asarray(ranks)
@@ -158,11 +157,13 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
     if not 1 <= r <= n + 1:
         raise ValueError(f"ranks must lie in [1, n+1], got {r} with n={n}")
     draws = k + r - 1
-    log_norm = gammaln([m + 1, n + 1, draws + 1, m + n - draws + 1]).sum() - gammaln(m + n + 1)
+    lgamma = math.lgamma
+    log_norm = (lgamma(m + 1) + lgamma(n + 1) + lgamma(draws + 1)
+                + lgamma(m + n - draws + 1) - lgamma(m + n + 1))
 
     def log_pmf(i):
-        return log_norm - (gammaln(i + 1) + gammaln(m - i + 1)
-                           + gammaln(draws - i + 1) + gammaln(n - draws + i + 1))
+        return log_norm - (lgamma(i + 1) + lgamma(m - i + 1)
+                           + lgamma(draws - i + 1) + lgamma(n - draws + i + 1))
 
     # The pmf is log-concave. Sum the tail without the mode, whose terms fall
     # away from the one next to k; if that is the lower tail, p is 1 - it.
@@ -174,6 +175,6 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
     while abs(far - edge) > 1:  # bisect for the farthest term in float range
         mid = (edge + far) // 2
         edge, far = (mid, far) if log_pmf(mid) >= peak + _LOG_SMALLEST else (edge, mid)
-    terms = log_pmf(np.arange(min(near, edge), max(near, edge) + 1))
-    log_tail = peak + math.log(np.exp(terms - peak).sum())
+    terms = range(min(near, edge), max(near, edge) + 1)
+    log_tail = peak + math.log(math.fsum(math.exp(log_pmf(i) - peak) for i in terms))
     return math.exp(log_tail) if upper else -math.expm1(log_tail)

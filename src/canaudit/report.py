@@ -3,7 +3,9 @@
 The JSON document is the single source of truth; the Markdown rendering
 formats values straight out of the document (via ``json.dumps`` per
 value), so every number in the Markdown appears verbatim in the JSON and
-nothing is ever computed twice.
+nothing is ever computed twice. The one exception is each canary's
+empirical FPR, exactly (rank - 1)/n, which the JSON leaves out and the
+Markdown and CSV renderings derive from its rank.
 
 Per-canary values are stored as columns; the JSON is strict (null for inf)
 and compact, one line (``jq .`` indents it).
@@ -33,7 +35,7 @@ from .baseline import (baseline_quantile_exposure, expected_exposure_asymptote,
 from .exposure import ExposureReport
 from .ingest import AuditDataset, dataset_summary
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _histogram(exposures: np.ndarray, n: int, bins: int | None) -> dict:
@@ -122,7 +124,6 @@ def build_report(
                 "loss": d.canary_losses.tolist(),
                 "rank": report.ranks.tolist(),
                 "exposure": report.exposures.tolist(),
-                "empirical_fpr": report.empirical_fprs.tolist(),
             },
         },
         "baselines": _baseline_rows(report),
@@ -150,11 +151,16 @@ def _cell(text: str) -> str:
 
 
 def _canary_rows(document: dict):
-    """(index, id, loss, rank, exposure, empirical_fpr) per canary, in order."""
+    """(index, id, loss, rank, exposure, empirical_fpr) per canary, in order.
+
+    Python's int/int division rounds (rank - 1)/n to the same double as
+    ``ExposureReport.empirical_fprs``.
+    """
     columns = document["exposure"]["per_canary"]
+    n = document["exposure"]["n"]
     ids = itertools.repeat(None) if columns["id"] is None else columns["id"]
     return zip(itertools.count(), ids, columns["loss"], columns["rank"],
-               columns["exposure"], columns["empirical_fpr"])
+               columns["exposure"], ((rank - 1) / n for rank in columns["rank"]))
 
 
 def render_markdown(document: dict, max_canary_rows: int = 20) -> str:

@@ -65,11 +65,15 @@ def simulate(model: GaussianShiftModel) -> AuditDataset:
     return AuditDataset(canary_losses=canaries, reference_losses=references)
 
 
+def _normal_cdf(x: float) -> float:
+    # erfc keeps the lower tail's relative precision; Phi(0) is exactly 0.5
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def analytic_operating_point(
     model: GaussianShiftModel, threshold: float
 ) -> tuple[float, float]:
     """Population (tpr, fpr) of the threshold attack under the model."""
-    from scipy.special import ndtr
-    tpr = float(ndtr((threshold + model.mu) / model.sigma))
-    fpr = float(ndtr(threshold / model.sigma))
+    tpr = _normal_cdf((threshold + model.mu) / model.sigma)
+    fpr = _normal_cdf(threshold / model.sigma)
     return tpr, fpr

@@ -79,6 +79,32 @@ def test_clopper_pearson_matches_grid_oracle():
             assert got == pytest.approx(want, abs=2e-6)
 
 
+def test_clopper_pearson_matches_betaincinv():
+    from scipy.special import betaincinv
+
+    for trials in (1, 2, 5, 20, 100, 10**3, 10**4, 10**5, 10**6):
+        ks = {0, 1, 2, trials // 1000, trials // 100, trials // 10, trials // 2,
+              trials - 1, trials}
+        for k in sorted(k for k in ks if k <= trials):
+            for alpha in (1e-6, 0.005, 0.025, 0.2):
+                lower = 0.0 if k == 0 else float(betaincinv(k, trials - k + 1, alpha))
+                upper = (1.0 if k == trials
+                         else float(betaincinv(k + 1, trials - k, 1.0 - alpha)))
+                assert clopper_pearson(k, trials, alpha, "lower") == pytest.approx(
+                    lower, rel=1e-10, abs=0.0), (k, trials, alpha)
+                assert clopper_pearson(k, trials, alpha, "upper") == pytest.approx(
+                    upper, rel=1e-10, abs=0.0), (k, trials, alpha)
+
+
+def test_clopper_pearson_no_successes_upper_closed_form():
+    # (1 - p)^trials = alpha; an lgamma(a+b) - lgamma(a) - lgamma(b)
+    # prefactor is already 1e-9 off at trials = 1e5
+    for trials in (1, 10, 100, 10**3, 10**4, 10**5, 10**6):
+        for alpha in (1e-6, 0.005, 0.025, 0.2):
+            assert clopper_pearson(0, trials, alpha, "upper") == pytest.approx(
+                -math.expm1(math.log(alpha) / trials), rel=1e-12, abs=0.0)
+
+
 def test_clopper_pearson_brackets_empirical_rate():
     rng = np.random.default_rng(53)
     for _ in range(50):

@@ -196,9 +196,19 @@ def test_roc_command_out_file_null_data(tmp_path, capsys):
         assert abs(tpr - fpr) < 0.12
 
 
+def _run_in_fresh_interpreter(code):
+    """Run ``code`` in a fresh interpreter on this checkout; return stdout."""
+    src = str(Path(canaudit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_import_and_roc_leave_scipy_unloaded(tmp_path):
-    # scipy.special is a third of the start-up time, and only the
-    # statistics need it
+    # scipy.special is a third of the start-up time, and only simulate's
+    # sampling needs it
     path = _write_dataset(tmp_path, make_dataset([1.0, 3.0], [2.0]))
     out_file = str(tmp_path / "sweep.csv")
     code = ("import sys\n"
@@ -207,13 +217,32 @@ def test_import_and_roc_leave_scipy_unloaded(tmp_path):
             "assert 'scipy' not in sys.modules\n"
             f"assert main(['roc', {path!r}, '--out-file', {out_file!r}]) == 0\n"
             "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n")
-    src = str(Path(canaudit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert _run_in_fresh_interpreter(code) == "[]\n"
     assert open(out_file).read().startswith("threshold,fpr,tpr\n")
+
+
+def test_audit_leaves_scipy_unloaded(tmp_path):
+    # bounds and p-values use the standard library: no output format, tie
+    # policy or operating point of an audit imports scipy
+    import numpy as np
+
+    rng = np.random.default_rng(73)
+    path = _write_dataset(tmp_path, make_dataset(rng.normal(-0.5, 1.0, size=300),
+                                                 rng.normal(size=400)))
+    code = ("import contextlib, io, sys\n"
+            "from canaudit.cli import main\n"
+            "for out in ('json', 'md', 'csv'):\n"
+            "    for tie_policy in ('pessimistic', 'optimistic'):\n"
+            "        with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+            f"            assert main(['audit', {path!r}, '--out', out,\n"
+            "                         '--tie-policy', tie_policy, '--fpr-target', '0',\n"
+            "                         '--fpr-target', '0.001', '--fpr-target', '1']) == 0\n"
+            "        assert text.getvalue()\n"
+            "        print(out, tie_policy,\n"
+            "              sorted(name for name in sys.modules if name.startswith('scipy')))\n")
+    assert _run_in_fresh_interpreter(code).splitlines() == [
+        f"{out} {tie_policy} []" for out in ("json", "md", "csv")
+        for tie_policy in ("pessimistic", "optimistic")]
 
 
 def test_simulate_writes_loadable_file(tmp_path, capsys):

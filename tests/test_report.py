@@ -66,7 +66,7 @@ def test_json_is_strict_with_infinite_thresholds():
 
 def test_document_records_bound_context():
     _, document = _sample_document(replications=3)
-    assert document["schema_version"] == 4
+    assert document["schema_version"] == 5
     assert document["parameters"]["tie_policy"] == "pessimistic"
     for row in document["epsilon_bounds"]:
         assert row["confidence"] == 0.95
@@ -80,13 +80,12 @@ def test_per_canary_columns_match_the_arrays():
     d, document = _sample_document(replications=2)
     report = audit_pipeline(d, operating_points=("median", 0.02)).exposure_report
     columns = document["exposure"]["per_canary"]
-    assert list(columns) == ["id", "loss", "rank", "exposure", "empirical_fpr"]
+    assert list(columns) == ["id", "loss", "rank", "exposure"]
     assert all(len(column) == d.m for column in columns.values())
     assert columns["id"] == list(d.canary_ids)
     assert columns["loss"] == d.canary_losses.tolist()
     assert columns["rank"] == report.ranks.tolist()
     assert columns["exposure"] == report.exposures.tolist()
-    assert columns["empirical_fpr"] == report.empirical_fprs.tolist()
     assert _strict_loads(render_json(document))["exposure"]["per_canary"] == columns
 
 
@@ -181,8 +180,17 @@ def test_markdown_extracted_numbers_all_come_from_json():
     _, document = _sample_document()
     md = render_markdown(document)
     json_text = render_json(document)
-    # every numeric token in the rendering must appear verbatim in the JSON
-    for token in re.findall(r"-?\d+\.\d+(?:e-?\d+)?", md):
+    # every numeric token in the rendering must appear verbatim in the JSON,
+    # except each canary's empirical fpr, which is (rank - 1)/n of the JSON
+    head, table = md.split("## Per-canary exposure")
+    rows = [line.strip("| ").split(" | ") for line in table.splitlines()
+            if line.startswith("| ") and not line.startswith("| index")]
+    assert len(rows) == 20
+    n, ranks = document["exposure"]["n"], document["exposure"]["per_canary"]["rank"]
+    for index, _, _, _, _, fpr in rows:
+        assert fpr == json.dumps((ranks[int(index)] - 1) / n)
+    verbatim = head + "\n".join(" | ".join(cells[:-1]) for cells in rows)
+    for token in re.findall(r"-?\d+\.\d+(?:e-?\d+)?", verbatim):
         assert token in json_text, token
 
 
