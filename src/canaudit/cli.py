@@ -87,6 +87,8 @@ def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     _positive_int(parser, "--n", args.n)
     _positive_int(parser, "--trials", args.trials)
     statistic, q = _parse_statistic(parser, args.statistic)
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     summary = monte_carlo_baseline(args.m, args.n, statistic, args.trials, args.seed, q)
     name = statistic if q is None else f"quantile {q:g}"
     print(f"random-guessing baseline for {name} exposure (m={args.m}, n={args.n})")

@@ -41,6 +41,8 @@ class GaussianShiftModel:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"m and n must be >= 1, got m={self.m}, n={self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _normal_samples(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from canaudit import (
     monte_carlo_baseline,
     quantile_p_value,
 )
+from canaudit.baseline import _log_binomial_pmf, _log_tail
 
 from conftest import comb_quantile_p_value
 
@@ -158,16 +160,50 @@ def test_quantile_p_value_matches_enumeration(m, n, q):
 
 
 def test_quantile_p_value_matches_exact_integer_sum():
+    # at m = n = 3000 three lgamma values near lgamma(m + n) would cancel in
+    # a direct pmf (1e-11 relative); the Stirling form keeps ~1e-15
     rng = np.random.default_rng(5)
     cases = [(np.ones(200, dtype=np.int64), 200), (np.full(200, 201), 200),
              (np.array([1]), 1), (np.array([2]), 1)]
     for _ in range(200):
         m, n = (int(x) for x in rng.integers(1, 201, size=2))
         cases.append((rng.integers(1, n + 2, size=m), n))
+    cases += [(rng.integers(1, m + 2, size=m), m) for m in (1000, 3000)]
     for ranks, n in cases:
         for q in (0.01, 0.5, 0.75, 0.99):
             want = comb_quantile_p_value(ranks.tolist(), n, q)
-            assert quantile_p_value(ranks, n, q) == pytest.approx(want, rel=1e-9)
+            assert quantile_p_value(ranks, n, q) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _exact_log_binomial_tails(n, p):
+    """{(k, ge): ln P[Bin(n, p) >= k] (ge) or <= k}, from the exact integer
+    terms comb(n, i) a^i (2^e - a)^(n - i) over 2^(e n), where p = a / 2^e."""
+    a, den = p.as_integer_ratio()
+    e = den.bit_length() - 1
+    cum = list(itertools.accumulate(
+        math.comb(n, i) * a**i * (den - a) ** (n - i) for i in range(n + 1)))
+    tails = {}
+    with localcontext() as ctx:
+        ctx.prec = 25
+        ln2 = Decimal(2).ln()
+        for k in range(n + 1):
+            for ge, num in ((True, cum[-1] - (cum[k - 1] if k else 0)), (False, cum[k])):
+                shift = max(0, num.bit_length() - 64)  # keeps 64 leading bits
+                tails[k, ge] = float(Decimal(num >> shift).ln() + (shift - e * n) * ln2)
+    return tails
+
+
+def test_binomial_tail_matches_exact_rationals():
+    # every k on both sides reaches the direct sum, the complement and the
+    # stop rule; the log tail is within 1e-13 max(1, |ln T|), so the tail
+    # is within 1e-13 relative wherever it is above 1/e
+    for p in (1e-300, 1e-6, 0.3, 0.5, 1.0 - 2.0**-53):
+        odds = p / (1.0 - p)
+        for n in range(1, 61):
+            for (k, ge), want in _exact_log_binomial_tails(n, p).items():
+                got = _log_tail(lambda i: _log_binomial_pmf(i, n, p),
+                                lambda i: (n - i) * odds / (i + 1), k, 0, n, ge)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (p, n, k, ge)
 
 
 def test_quantile_p_value_validation():

@@ -149,6 +149,20 @@ def test_invalid_flags_exit_two(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["baseline", "--m", "3", "--n", "3", "--seed", "-1"],
+    ["simulate", "--mu", "1", "--m", "3", "--n", "3", "--seed", "-1", "--out-file", "x.csv"],
+])
+def test_negative_seed_exits_two_without_traceback(tmp_path, command):
+    src = str(Path(canaudit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "canaudit.cli", *command], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 2
+    assert "seed" in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_baseline_mean_output(capsys):
     assert main(["baseline", "--m", "10", "--n", "1000000",
                  "--statistic", "mean", "--trials", "5", "--seed", "1"]) == 0
