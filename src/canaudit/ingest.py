@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -33,6 +34,9 @@ ROLES = ("canary", "reference")
 _CSV_REQUIRED = ("role", "loss")
 _CSV_OPTIONAL = ("id", "replications")
 _JSONL_KEYS = frozenset(("role", "loss", "id", "replications"))
+# An id holding any of these is written quoted; csv.reader ends an unquoted
+# field at "\r" as at "\n".
+_CSV_SPECIAL = frozenset(',"\n\r')
 
 # The bulk reader converts about this many characters of whole lines at a
 # time, so its transient lists and objects stay a few MB whatever the file.
@@ -395,22 +399,35 @@ def parse_dataset(raw: bytes | str, format: str) -> AuditDataset:
     return d
 
 
+def _roles(d: AuditDataset):
+    """(role, losses, ids, replications) per role, canaries first."""
+    return (("canary", d.canary_losses, d.canary_ids, d.replications),
+            ("reference", d.reference_losses, d.reference_ids, 1))
+
+
 def _rows(d: AuditDataset):
     """(role, loss, id, replications) per example, canaries first."""
-    for role, losses, ids, reps in (
-        ("canary", d.canary_losses, d.canary_ids, d.replications),
-        ("reference", d.reference_losses, d.reference_ids, 1),
-    ):
+    for role, losses, ids, reps in _roles(d):
         for loss, rec_id in zip(losses.tolist(), ids or (None,) * losses.size):
             yield role, loss, rec_id, reps
+
+
+def _csv_field(rec_id: str | None) -> str:
+    """An id as a CSV field, quoted when it holds a delimiter, quote or line break."""
+    if rec_id is None:
+        return ""
+    if _CSV_SPECIAL.isdisjoint(rec_id):
+        return rec_id
+    return '"' + rec_id.replace('"', '""') + '"'
 
 
 def serialize_dataset(d: AuditDataset, format: str) -> str:
     """Write a dataset back to text in one of the parseable formats.
 
     Canaries are written first, then references; optional columns are
-    emitted only when some record needs them. ``parse_dataset`` on the
-    result reconstructs an identical dataset.
+    emitted only when some record needs them, and a CSV id holding a comma,
+    quote or line break is quoted. ``parse_dataset`` on the result
+    reconstructs an identical dataset.
     """
     if format not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {format!r}")
@@ -430,17 +447,14 @@ def serialize_dataset(d: AuditDataset, format: str) -> str:
     header = list(_CSV_REQUIRED) + (["id"] if with_id else []) + (
         ["replications"] if with_reps else []
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for role, loss, rec_id, reps in _rows(d):
-        row = [role, repr(loss)]
-        if with_id:
-            row.append(rec_id if rec_id is not None else "")
-        if with_reps:
-            row.append(str(reps))
-        writer.writerow(row)
-    return buf.getvalue()
+    lines = [",".join(header)]
+    for role, losses, ids, reps in _roles(d):
+        id_cells = (repeat("," if with_id else "") if ids is None
+                    else [f",{_csv_field(rec_id)}" for rec_id in ids])
+        reps_cell = f",{reps}" if with_reps else ""
+        lines += [f"{role},{loss!r}{id_cell}{reps_cell}"
+                  for loss, id_cell in zip(losses.tolist(), id_cells)]
+    return "\n".join(lines) + "\n"
 
 
 def _mean(losses: np.ndarray) -> float:

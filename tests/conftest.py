@@ -8,6 +8,8 @@ shared, so counting logic is verified independently.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from math import comb
 
@@ -28,6 +30,32 @@ def make_dataset(canary_losses, reference_losses, replications=1, ids=None):
         canary_ids=ids,
         replications=replications,
     )
+
+
+def csv_writer_serialize(d: AuditDataset) -> str:
+    """A dataset as CSV through csv.writer, the way serialize_dataset once wrote it.
+
+    csv.writer leaves an id holding "\r" unquoted, which parse_dataset then
+    rejects; for every other dataset this is the reference output.
+    """
+    with_id = d.canary_ids is not None or d.reference_ids is not None
+    with_reps = d.replications != 1
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["role", "loss"] + (["id"] if with_id else [])
+                    + (["replications"] if with_reps else []))
+    for role, losses, ids, reps in (
+        ("canary", d.canary_losses, d.canary_ids, d.replications),
+        ("reference", d.reference_losses, d.reference_ids, 1),
+    ):
+        for loss, rec_id in zip(losses.tolist(), ids or (None,) * losses.size):
+            row = [role, repr(loss)]
+            if with_id:
+                row.append(rec_id if rec_id is not None else "")
+            if with_reps:
+                row.append(str(reps))
+            writer.writerow(row)
+    return buf.getvalue()
 
 
 def brute_rank(loss, reference_losses, tie_policy):

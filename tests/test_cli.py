@@ -221,18 +221,26 @@ def _run_in_fresh_interpreter(code):
 
 
 def test_import_and_roc_leave_scipy_unloaded(tmp_path):
-    # scipy.special is a third of the start-up time, and only simulate's
-    # sampling needs it
+    # scipy.special is a third of the start-up time; simulate samples with
+    # its own port of Cephes ndtri, so no command but the tests' oracles
+    # needs it
     path = _write_dataset(tmp_path, make_dataset([1.0, 3.0], [2.0]))
     out_file = str(tmp_path / "sweep.csv")
+    sims = {format: str(tmp_path / f"sim.{format}") for format in ("csv", "jsonl")}
     code = ("import sys\n"
             "import canaudit\n"
             "from canaudit.cli import main\n"
             "assert 'scipy' not in sys.modules\n"
             f"assert main(['roc', {path!r}, '--out-file', {out_file!r}]) == 0\n"
+            f"for format, sim in {sims!r}.items():\n"
+            "    assert main(['simulate', '--mu', '1', '--m', '500', '--n', '700',\n"
+            "                 '--format', format, '--out-file', sim]) == 0\n"
             "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n")
-    assert _run_in_fresh_interpreter(code) == "[]\n"
+    assert _run_in_fresh_interpreter(code).splitlines()[-1] == "[]"
     assert open(out_file).read().startswith("threshold,fpr,tpr\n")
+    for format, sim in sims.items():
+        d = parse_dataset(open(sim, "rb").read(), format)
+        assert (d.m, d.n) == (500, 700)
 
 
 def test_audit_leaves_scipy_unloaded(tmp_path):

@@ -17,7 +17,7 @@ from canaudit import (
     threshold_attack,
 )
 
-from conftest import make_dataset
+from conftest import csv_writer_serialize, make_dataset
 
 # Losses from a coarse grid tie often; arbitrary finite floats rarely do.
 tie_prone_losses = st.lists(
@@ -96,14 +96,15 @@ EDGE_LOSSES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
 any_loss = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                      st.sampled_from(EDGE_LOSSES))
 any_id = st.one_of(st.none(), st.text(), st.sampled_from(["", " a", "a ", "\t", "x,y",
-                                                          'q"', "l\nm", "r\r", " "]))
+                                                          'q"', "l\nm", "r\r", " ",
+                                                          "a\rb"]))
 
 
 @st.composite
-def datasets(draw):
+def datasets(draw, one_id=any_id):
     canaries = draw(st.lists(any_loss, min_size=1, max_size=12))
     references = draw(st.lists(any_loss, min_size=1, max_size=12))
-    ids = [draw(st.none() | st.lists(any_id, min_size=len(losses), max_size=len(losses)))
+    ids = [draw(st.none() | st.lists(one_id, min_size=len(losses), max_size=len(losses)))
            for losses in (canaries, references)]
     return AuditDataset(canaries, references, *ids, replications=draw(st.integers(1, 4)))
 
@@ -114,9 +115,20 @@ def _bits(losses):
 
 @given(datasets(), st.sampled_from(["csv", "jsonl"]))
 @example(make_dataset([1.0, 2.0], [3.0], ids=["", " a"]), "csv")
+@example(make_dataset([1.0], [3.0], ids=["a\rb"]), "csv")
 def test_parse_inverts_serialize_bit_for_bit(d, format):
     again = parse_dataset(serialize_dataset(d, format), format)
     assert again == d
     assert again.canary_ids == d.canary_ids and again.reference_ids == d.reference_ids
     assert _bits(again.canary_losses) == _bits(d.canary_losses)
     assert _bits(again.reference_losses) == _bits(d.reference_losses)
+
+
+@given(datasets(one_id=any_id.filter(lambda rec_id: rec_id is None or "\r" not in rec_id)))
+@example(make_dataset([1.0, -0.0], [3.0], ids=["x,y", 'q"']))
+@example(make_dataset([1.0], [2.0, 3.0], ids=["l\nm"], replications=4))
+@example(make_dataset([5e-324], [1e308], replications=3))
+def test_csv_matches_csv_writer_byte_for_byte(d):
+    # csv.writer quotes ids with a comma, quote or "\n" exactly as the
+    # column-wise writer does; it differs only on "\r"
+    assert serialize_dataset(d, "csv") == csv_writer_serialize(d)

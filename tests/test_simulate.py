@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from canaudit import (
     GaussianShiftModel,
@@ -12,6 +13,7 @@ from canaudit import (
     simulate,
     threshold_attack,
 )
+from canaudit.simulate import _ndtri
 
 # The sampling path (child streams + inverse-CDF transform) is part of the
 # output contract; these values pin it.
@@ -29,6 +31,24 @@ GOLDEN_SEED0_REFERENCES = [
     -1.147424619645796,
     -0.19428500650460917,
 ]
+
+
+def _ndtri_mismatches(u):
+    return int((_ndtri(u).view(np.uint64) != ndtri(u).view(np.uint64)).sum())
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    # random draws as simulate floors them; every k * 2^-53 up to 2e5 * 2^-53,
+    # which crosses the x >= 8 tail branch at e^-32; the branch edges with
+    # their neighbours
+    uniforms = np.maximum(np.random.default_rng(2024).random(1_000_000), 2.0 ** -53)
+    grid = np.arange(1, 200_001) * 2.0 ** -53
+    edges = [0.5, 1.0 - 2.0 ** -53]
+    for edge in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32)):
+        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    assert _ndtri_mismatches(uniforms) == 0
+    assert _ndtri_mismatches(grid) == 0
+    assert _ndtri_mismatches(np.array(edges)) == 0
 
 
 def test_simulate_deterministic():
