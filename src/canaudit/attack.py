@@ -9,7 +9,6 @@ attack's full ROC curve, a ``RocCurve`` of aligned arrays.
 
 from __future__ import annotations
 
-import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exposure import exposure_quantile
-from .ingest import AuditDataset
+from .ingest import AuditDataset, _csv_text
 
 
 class _Rates:
@@ -145,10 +144,8 @@ def tpr_at_fpr(d: AuditDataset, target_fpr: float) -> MIResult:
 
 def roc_to_csv(curve: RocCurve) -> str:
     """Serialize a threshold sweep as ``threshold,fpr,tpr`` rows."""
-    buf = io.StringIO()
-    buf.write("threshold,fpr,tpr\n")
     # tolist() gives Python floats: their repr round-trips, while numpy 2
     # writes np.float64(...) for a numpy scalar.
-    for t, fpr, tpr in zip(curve.threshold.tolist(), curve.fpr.tolist(), curve.tpr.tolist()):
-        buf.write(f"{t!r},{fpr!r},{tpr!r}\n")
-    return buf.getvalue()
+    return _csv_text(("threshold", "fpr", "tpr"),
+                     [map(repr, column.tolist())
+                      for column in (curve.threshold, curve.fpr, curve.tpr)])

@@ -1,7 +1,8 @@
 """Command-line interface: audit loss files, print baselines, simulate, ROC.
 
-Exit codes: 0 on success, 1 on a dataset parse/validation problem
-(diagnostic on stderr), 2 on invalid flags.
+Exit codes: 0 on success, 1 on a dataset parse/validation problem, an
+unreadable input or an unwritable output (diagnostic on stderr), 2 on
+invalid flags.
 """
 
 from __future__ import annotations
@@ -19,30 +20,29 @@ from .report import build_report, render_csv, render_json, render_markdown
 from .simulate import GaussianShiftModel, simulate
 
 
-def _positive_int(parser: argparse.ArgumentParser, name: str, value: int) -> int:
+def _positive_int(parser: argparse.ArgumentParser, name: str, value: int) -> None:
     if value < 1:
         parser.error(f"{name} must be >= 1, got {value}")
-    return value
 
 
 def _unit_interval(parser: argparse.ArgumentParser, name: str, value: float,
-                   open_ends: bool = True) -> float:
+                   open_ends: bool = True) -> None:
     if open_ends and not 0.0 < value < 1.0:
         parser.error(f"{name} must be in (0, 1), got {value}")
     if not open_ends and not 0.0 <= value <= 1.0:
         parser.error(f"{name} must be in [0, 1], got {value}")
-    return value
 
 
-def _guess_format(path: str, explicit: str | None) -> str:
-    if explicit is not None:
-        return explicit
-    return "jsonl" if path.endswith(".jsonl") else "csv"
+def _load_dataset(args: argparse.Namespace):
+    format = args.format or ("jsonl" if args.file.endswith(".jsonl") else "csv")
+    return parse_dataset(Path(args.file).read_bytes(), format)
 
 
-def _load_dataset(path: str, format: str):
-    raw = Path(path).read_bytes()
-    return parse_dataset(raw, format)
+def _write(text: str, out_file: str | None) -> None:
+    if out_file is None:
+        sys.stdout.write(text)
+    else:
+        Path(out_file).write_text(text, encoding="utf-8")
 
 
 def _parse_statistic(parser: argparse.ArgumentParser, token: str):
@@ -64,18 +64,9 @@ def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         _unit_interval(parser, "--fpr-target", target, open_ends=False)
     if args.histogram_bins is not None:
         _positive_int(parser, "--histogram-bins", args.histogram_bins)
-    try:
-        d = _load_dataset(args.file, _guess_format(args.file, args.format))
-    except (DatasetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    operating_points = ["median"] + list(args.fpr_target)
-    result = audit_pipeline(
-        d,
-        operating_points=operating_points,
-        confidence=args.confidence,
-        tie_policy=args.tie_policy,
-    )
+    d = _load_dataset(args)
+    result = audit_pipeline(d, ["median", *args.fpr_target], confidence=args.confidence,
+                            tie_policy=args.tie_policy)
     document = build_report(d, result, histogram_bins=args.histogram_bins)
     renderer = {"json": render_json, "md": render_markdown, "csv": render_csv}[args.out]
     sys.stdout.write(renderer(document))
@@ -104,37 +95,18 @@ def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
-        model = GaussianShiftModel(
-            mu=args.mu, sigma=args.sigma, m=args.m, n=args.n, seed=args.seed
-        )
+        model = GaussianShiftModel(mu=args.mu, sigma=args.sigma, m=args.m, n=args.n,
+                                   seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     d = simulate(model)
-    text = serialize_dataset(d, args.format)
-    try:
-        Path(args.out_file).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _write(serialize_dataset(d, args.format), args.out_file)
     print(f"wrote {d.m} canaries and {d.n} references to {args.out_file}")
     return 0
 
 
 def _cmd_roc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    try:
-        d = _load_dataset(args.file, _guess_format(args.file, args.format))
-    except (DatasetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = roc_to_csv(roc(d))
-    if args.out_file is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(args.out_file).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    _write(roc_to_csv(roc(_load_dataset(args))), args.out_file)
     return 0
 
 
@@ -200,7 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        return args.func(parser, args)
+    except (DatasetError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -405,13 +405,6 @@ def _roles(d: AuditDataset):
             ("reference", d.reference_losses, d.reference_ids, 1))
 
 
-def _rows(d: AuditDataset):
-    """(role, loss, id, replications) per example, canaries first."""
-    for role, losses, ids, reps in _roles(d):
-        for loss, rec_id in zip(losses.tolist(), ids or (None,) * losses.size):
-            yield role, loss, rec_id, reps
-
-
 def _csv_field(rec_id: str | None) -> str:
     """An id as a CSV field, quoted when it holds a delimiter, quote or line break."""
     if rec_id is None:
@@ -419,6 +412,30 @@ def _csv_field(rec_id: str | None) -> str:
     if _CSV_SPECIAL.isdisjoint(rec_id):
         return rec_id
     return '"' + rec_id.replace('"', '""') + '"'
+
+
+def _text(lines) -> str:
+    """An iterator of lines as text, each line ended by a newline. Lines are
+    joined 16384 at a time, so no more line objects than that are alive at once."""
+    blocks = []
+    while block := list(islice(lines, 1 << 14)):
+        blocks.append("\n".join(block))
+    blocks.append("")
+    return "\n".join(blocks)
+
+
+def _csv_text(header, columns) -> str:
+    """CSV text of a header and columns of finished cells, joined row by row."""
+    return _text(chain([",".join(header)], map(",".join, zip(*columns))))
+
+
+def _jsonl_lines(role: str, losses: np.ndarray, ids, reps: int):
+    """Per example of a role, one JSON object with the keys it needs."""
+    id_keys = (repeat("") if ids is None else
+               ("" if rec_id is None else f', "id": {json.dumps(rec_id)}' for rec_id in ids))
+    end = "}" if reps == 1 else f', "replications": {reps}}}'
+    return (f'{{"role": "{role}", "loss": {loss!r}{id_key}{end}'
+            for loss, id_key in zip(losses.tolist(), id_keys))
 
 
 def serialize_dataset(d: AuditDataset, format: str) -> str:
@@ -432,29 +449,17 @@ def serialize_dataset(d: AuditDataset, format: str) -> str:
     if format not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {format!r}")
     if format == "jsonl":
-        lines = []
-        for role, loss, rec_id, reps in _rows(d):
-            obj = {"role": role, "loss": loss}
-            if rec_id is not None:
-                obj["id"] = rec_id
-            if reps != 1:
-                obj["replications"] = reps
-            lines.append(json.dumps(obj))
-        return "\n".join(lines) + "\n"
-
-    with_id = d.canary_ids is not None or d.reference_ids is not None
-    with_reps = d.replications != 1
-    header = list(_CSV_REQUIRED) + (["id"] if with_id else []) + (
-        ["replications"] if with_reps else []
-    )
-    lines = [",".join(header)]
+        return _text(chain.from_iterable(_jsonl_lines(*role) for role in _roles(d)))
+    header = list(_CSV_REQUIRED)
+    header += ["id"] if d.canary_ids is not None or d.reference_ids is not None else []
+    header += ["replications"] if d.replications != 1 else []
+    per_role = []  # each role's cells, a column at a time
     for role, losses, ids, reps in _roles(d):
-        id_cells = (repeat("," if with_id else "") if ids is None
-                    else [f",{_csv_field(rec_id)}" for rec_id in ids])
-        reps_cell = f",{reps}" if with_reps else ""
-        lines += [f"{role},{loss!r}{id_cell}{reps_cell}"
-                  for loss, id_cell in zip(losses.tolist(), id_cells)]
-    return "\n".join(lines) + "\n"
+        cells = {"role": repeat(role, losses.size), "loss": map(repr, losses.tolist()),
+                 "id": repeat("", losses.size) if ids is None else map(_csv_field, ids),
+                 "replications": repeat(str(reps), losses.size)}
+        per_role.append([cells[col] for col in header])
+    return _csv_text(header, map(chain, *per_role))
 
 
 def _mean(losses: np.ndarray) -> float:

@@ -8,7 +8,8 @@ empirical FPR, exactly (rank - 1)/n, which the JSON leaves out and the
 Markdown and CSV renderings derive from its rank.
 
 Per-canary values are stored as columns; the JSON is strict (null for inf)
-and compact, one line (``jq .`` indents it).
+and compact, one line (``jq .`` indents it). The CSV quotes ids by the
+dataset writer's rule (``ingest._csv_field``).
 
 Each ``baselines`` row holds an exposure aggregate, its ``exact``
 (finite-n, mean only) and ``asymptotic`` random-guessing values, and a
@@ -21,7 +22,6 @@ form, and a normal approximation rejects too often at small m.
 from __future__ import annotations
 
 import io
-import csv
 import itertools
 import json
 import math
@@ -33,7 +33,7 @@ from .audit import INDEPENDENCE_NOTICE, AuditResult, epsilon_from_median_exposur
 from .baseline import (baseline_quantile_exposure, expected_exposure_asymptote,
                        expected_exposure_exact, quantile_p_value)
 from .exposure import ExposureReport
-from .ingest import AuditDataset, dataset_summary
+from .ingest import AuditDataset, _csv_field, _csv_text, dataset_summary
 
 SCHEMA_VERSION = 5
 
@@ -46,6 +46,8 @@ def _histogram(exposures: np.ndarray, n: int, bins: int | None) -> dict:
         width = 0.5
         count = max(1, math.ceil((hi - lo) / width))
         edges = lo + width * np.arange(count + 1)
+    elif isinstance(bins, bool) or not isinstance(bins, int) or bins < 1:
+        raise ValueError(f"histogram_bins must be a positive integer, got {bins!r}")
     else:
         edges = np.linspace(lo, hi, bins + 1)
     counts, _ = np.histogram(exposures, bins=edges)
@@ -150,17 +152,15 @@ def _cell(text: str) -> str:
     return text.replace("\r", "\n").replace("\n", "<br>")
 
 
-def _canary_rows(document: dict):
-    """(index, id, loss, rank, exposure, empirical_fpr) per canary, in order.
-
-    Python's int/int division rounds (rank - 1)/n to the same double as
-    ``ExposureReport.empirical_fprs``.
-    """
+def _canary_columns(document: dict):
+    """index, id, loss, rank, exposure and empirical_fpr columns; the first
+    two are endless. Python's int/int division rounds (rank - 1)/n to the
+    same double as ``ExposureReport.empirical_fprs``."""
     columns = document["exposure"]["per_canary"]
     n = document["exposure"]["n"]
     ids = itertools.repeat(None) if columns["id"] is None else columns["id"]
-    return zip(itertools.count(), ids, columns["loss"], columns["rank"],
-               columns["exposure"], ((rank - 1) / n for rank in columns["rank"]))
+    return (itertools.count(), ids, columns["loss"], columns["rank"],
+            columns["exposure"], ((rank - 1) / n for rank in columns["rank"]))
 
 
 def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
@@ -224,7 +224,7 @@ def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
     out.write("\n## Per-canary exposure\n\n")
     out.write("| index | id | loss | rank | exposure | empirical fpr |\n")
     out.write("|---|---|---|---|---|---|\n")
-    rows = itertools.islice(_canary_rows(document), max_canary_rows)
+    rows = itertools.islice(zip(*_canary_columns(document)), max_canary_rows)
     for index, rec_id, loss, rank, exposure, fpr in rows:
         rec_id = "-" if rec_id is None else _cell(rec_id)
         out.write(
@@ -238,13 +238,9 @@ def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
 
 def render_csv(document: dict) -> str:
     """Per-canary exposure table as CSV (plot-ready)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["index", "id", "loss", "replications", "rank", "exposure", "empirical_fpr"]
-    )
-    replications = document["dataset"]["replications"]
-    for index, rec_id, loss, rank, exposure, fpr in _canary_rows(document):
-        writer.writerow([index, "" if rec_id is None else rec_id, repr(loss),
-                         replications, rank, repr(exposure), repr(fpr)])
-    return buf.getvalue()
+    index, ids, losses, ranks, exposures, fprs = _canary_columns(document)
+    replications = itertools.repeat(str(document["dataset"]["replications"]))
+    return _csv_text(
+        ("index", "id", "loss", "replications", "rank", "exposure", "empirical_fpr"),
+        (map(str, index), map(_csv_field, ids), map(repr, losses), replications,
+         map(str, ranks), map(repr, exposures), map(repr, fprs)))

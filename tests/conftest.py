@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from math import comb
 
@@ -56,6 +57,24 @@ def csv_writer_serialize(d: AuditDataset) -> str:
                 row.append(str(reps))
             writer.writerow(row)
     return buf.getvalue()
+
+
+def json_dumps_serialize(d: AuditDataset) -> str:
+    """A dataset as JSONL through one dict and json.dumps per row, the way
+    serialize_dataset once wrote it."""
+    lines = []
+    for role, losses, ids, reps in (
+        ("canary", d.canary_losses, d.canary_ids, d.replications),
+        ("reference", d.reference_losses, d.reference_ids, 1),
+    ):
+        for loss, rec_id in zip(losses.tolist(), ids or (None,) * losses.size):
+            obj = {"role": role, "loss": loss}
+            if rec_id is not None:
+                obj["id"] = rec_id
+            if reps != 1:
+                obj["replications"] = reps
+            lines.append(json.dumps(obj))
+    return "\n".join(lines) + "\n"
 
 
 def brute_rank(loss, reference_losses, tie_policy):

@@ -113,6 +113,30 @@ def test_audit_missing_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["roc", "{tmp}/absent.csv"],
+    ["simulate", "--mu", "1", "--m", "3", "--n", "3", "--out-file", "{tmp}/no/dir.csv"],
+    ["roc", "{data}", "--out-file", "{tmp}/no/dir.csv"],
+])
+def test_unreadable_input_or_unwritable_output_exits_one(tmp_path, capsys, command):
+    data = _write_dataset(tmp_path, make_dataset([1.0], [2.0]))
+    argv = [arg.format(tmp=tmp_path, data=data) for arg in command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_stdout_write_error_exits_one(tmp_path, capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    path = _write_dataset(tmp_path, make_dataset([1.0], [2.0]))
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["roc", path]) == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize("name,text", [
     ("bad.csv", "role,loss\ncanary,NaN\n"),
     ("long.csv", "role,loss\ncanary,0.%s1\n" % ("0" * 200_000)),

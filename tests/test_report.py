@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -20,11 +22,11 @@ from canaudit import (
 from conftest import comb_quantile_p_value, make_dataset
 
 
-def _sample_document(replications=1, bins=None):
+def _sample_document(replications=1, bins=None, ids=None):
     rng = np.random.default_rng(61)
     d = make_dataset(rng.normal(-1.0, 1.0, size=40), rng.normal(size=50),
                      replications=replications,
-                     ids=[f"c{i}" for i in range(40)])
+                     ids=ids or [f"c{i}" for i in range(40)])
     result = audit_pipeline(d, operating_points=("median", 0.02))
     return d, build_report(d, result, histogram_bins=bins)
 
@@ -132,6 +134,12 @@ def test_histogram_explicit_bins():
     assert sum(hist["counts"]) == d.m
 
 
+@pytest.mark.parametrize("bins", [0, -1, True, 2.0, np.int64(3)])
+def test_histogram_bins_must_be_a_positive_int(bins):
+    with pytest.raises(ValueError, match="histogram_bins"):
+        _sample_document(bins=bins)
+
+
 def test_markdown_numbers_appear_verbatim_in_json():
     _, document = _sample_document(replications=2)
     md = render_markdown(document)
@@ -195,14 +203,15 @@ def test_markdown_extracted_numbers_all_come_from_json():
 
 
 def test_csv_rendering_parses():
-    d, document = _sample_document()
-    text = render_csv(document)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("index,id,loss")
-    assert len(lines) == d.m + 1
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "c0"
-    assert float(first[2]) == d.canary_losses[0]
+    # ids that need quoting; csv.reader ends an unquoted field at "\r" as at "\n"
+    ids = ["x,y", 'q"', "l\nm", "a\rb"] + [f"c{i}" for i in range(4, 40)]
+    d, document = _sample_document(ids=ids)
+    rows = list(csv.reader(io.StringIO(render_csv(document))))
+    assert rows[0] == ["index", "id", "loss", "replications", "rank", "exposure",
+                       "empirical_fpr"]
+    assert [row[0] for row in rows[1:]] == [str(i) for i in range(d.m)]
+    assert [row[1] for row in rows[1:]] == ids
+    assert [float(row[2]) for row in rows[1:]] == d.canary_losses.tolist()
 
 
 def test_markdown_includes_warnings_section():
