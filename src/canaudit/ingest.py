@@ -415,9 +415,9 @@ def _csv_field(rec_id: str | None) -> str:
 
 
 def _text(lines) -> str:
-    """An iterator of lines as text, each line ended by a newline. Lines are
-    joined 16384 at a time, so no more line objects than that are alive at once."""
-    blocks = []
+    """Lines as text, each ended by a newline. They are joined 16384 at a
+    time, so no more line objects than that are alive at once."""
+    lines, blocks = iter(lines), []
     while block := list(islice(lines, 1 << 14)):
         blocks.append("\n".join(block))
     blocks.append("")
