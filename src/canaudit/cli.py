@@ -95,8 +95,9 @@ def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
-        model = GaussianShiftModel(mu=args.mu, sigma=args.sigma, m=args.m, n=args.n,
-                                   seed=args.seed)
+        model = GaussianShiftModel(
+            mu=args.mu, sigma=args.sigma, m=args.m, n=args.n, seed=args.seed
+        )
     except ValueError as exc:
         parser.error(str(exc))
     d = simulate(model)
