@@ -14,10 +14,10 @@ from canaudit import (
     GaussianShiftModel,
     audit_pipeline,
     build_report,
+    operating_points,
     roc,
     roc_to_csv,
     simulate,
-    tpr_at_fpr,
 )
 
 
@@ -33,8 +33,8 @@ def main():
 
     print()
     print("=== best attack at capped false positive rates ===")
-    for target in (0.1, 0.01, 0.001, 0.0001):
-        mi = tpr_at_fpr(d, target)
+    targets = (0.1, 0.01, 0.001, 0.0001)
+    for target, mi in zip(targets, operating_points(d, targets)):
         print(f"  fpr <= {target:<7} -> achieved fpr {mi.fpr:.4f}, tpr {mi.tpr:.4f}")
     print("  (with n = 5000, targets below 1/n = 0.0002 collapse to fpr 0)")
 

@@ -12,11 +12,10 @@ __version__ = "0.1.0"
 from .attack import (
     MIResult,
     RocCurve,
-    median_threshold,
+    operating_points,
     roc,
     roc_to_csv,
     threshold_attack,
-    tpr_at_fpr,
 )
 from .audit import (
     INDEPENDENCE_NOTICE,
@@ -84,8 +83,8 @@ __all__ = [
     "expected_exposure_asymptote",
     "expected_exposure_exact",
     "group_privacy_adjust",
-    "median_threshold",
     "monte_carlo_baseline",
+    "operating_points",
     "parse_dataset",
     "quantile_p_value",
     "rank",
@@ -97,5 +96,4 @@ __all__ = [
     "serialize_dataset",
     "simulate",
     "threshold_attack",
-    "tpr_at_fpr",
 ]

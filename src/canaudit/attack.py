@@ -4,12 +4,14 @@ The attack classifies an example as a training member when its loss is
 strictly below a threshold. Its true positive rate is the fraction of
 canaries so classified; its false positive rate is the fraction of
 references. Sweeping the threshold over every distinct loss traces the
-attack's full ROC curve, a ``RocCurve`` of aligned arrays.
+attack's full ROC curve, a ``RocCurve`` of aligned arrays, and
+``operating_points`` is the one reader of named points on that curve.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -79,17 +81,6 @@ def threshold_attack(d: AuditDataset, threshold: float) -> MIResult:
     return MIResult(float(threshold), int(canary_hits), int(reference_hits), d.m, d.n)
 
 
-def median_threshold(d: AuditDataset) -> float:
-    """The nearest-rank lower median of the canary losses.
-
-    Always an actual canary's loss. The attack at this threshold counts
-    losses strictly below it, so it catches ceil(m/2) - 1 canaries when
-    no other canary ties the median loss (fewer when one does): its TPR
-    is below 1/2.
-    """
-    return exposure_quantile(d.sorted_canary_losses, 0.5)
-
-
 def roc(d: AuditDataset) -> RocCurve:
     """Full threshold sweep: one operating point per distinct loss.
 
@@ -110,36 +101,49 @@ def roc(d: AuditDataset) -> RocCurve:
     )
 
 
-def tpr_at_fpr(d: AuditDataset, target_fpr: float) -> MIResult:
-    """Best operating point with false positive rate at most ``target_fpr``.
+def _threshold(canaries: np.ndarray, references: np.ndarray, point) -> float:
+    """The threshold of one operating point (see ``operating_points``)."""
+    if point == "median":
+        return exposure_quantile(canaries, 0.5)
+    if not isinstance(point, numbers.Real) or isinstance(point, bool) \
+            or not 0.0 <= float(point) <= 1.0:
+        raise ValueError(
+            f"operating point must be 'median' or an fpr target in [0, 1], got {point!r}"
+        )
+    n = references.size
+    # k: the most references a point may catch, i.e. the largest k with
+    # k / n <= target, compared in float as fpr is.
+    k = bisect_right(range(n + 1), float(point), key=lambda j: j / n) - 1
+    # That point catches the h canaries below references[k] (all m when
+    # k = n). The first sweep point to do so is the next pooled loss above
+    # canaries[h - 1], a reference, as canaries[h] >= references[k].
+    h = canaries.size if k == n else np.searchsorted(canaries, references[k])
+    if h == 0:
+        return -math.inf
+    j = np.searchsorted(references, canaries[h - 1], side="right")
+    return float(references[j]) if j < n else math.inf
 
-    Maximizes tpr subject to fpr <= target_fpr, breaking ties toward the
-    smaller fpr; the returned point carries the achieved (not the target)
-    fpr. The classify-nothing endpoint always qualifies, so the result is
-    defined even at target_fpr = 0. This is the point of ``roc(d)`` that a
-    scan would pick, found by binary search without building the sweep.
+
+def operating_points(d: AuditDataset, points) -> list[MIResult]:
+    """The attack at each operating point in ``points``, in request order.
+
+    A point is ``"median"``, the nearest-rank lower median of the canary
+    losses: a canary's loss, so the TPR there is at most (ceil(m/2) - 1)/m.
+    Or it is an FPR target, a real number in [0, 1] but not a bool: the
+    point of ``roc(d)`` with the largest tpr at fpr <= target, the smaller
+    fpr on ties, found by binary search. It carries the achieved fpr, and
+    the classify-nothing endpoint (threshold -inf) always qualifies.
+    Anything else raises ``ValueError``. All thresholds are counted at
+    once, one search per role, so every result's counts are the attack's
+    at its own threshold. ``points`` is read once.
     """
-    if not 0.0 <= target_fpr <= 1.0:
-        raise ValueError(f"target_fpr must be in [0, 1], got {target_fpr}")
     canaries = d.sorted_canary_losses
     references = d.sorted_reference_losses
-    # k: the most references a point may catch, i.e. the largest k with
-    # k / n <= target_fpr, compared in float as fpr is.
-    k = bisect_right(range(d.n + 1), target_fpr, key=lambda j: j / d.n) - 1
-    # A threshold t catches at most k references iff t <= references[k];
-    # the most canaries such a threshold catches is the count below it.
-    h = d.m if k == d.n else int(_hits(canaries, references[k]))
-    if h == 0:
-        return MIResult(-math.inf, 0, 0, d.m, d.n)
-    # The first sweep point catching h canaries is the smallest pooled
-    # loss above the h-th smallest canary (canaries[h] lies above it, as
-    # it is >= references[k]); it catches every reference up to that loss.
-    reference_hits = int(np.searchsorted(references, canaries[h - 1], side="right"))
-    threshold = min(
-        canaries[h] if h < d.m else math.inf,
-        references[reference_hits] if reference_hits < d.n else math.inf,
-    )
-    return MIResult(float(threshold), h, reference_hits, d.m, d.n)
+    thresholds = [_threshold(canaries, references, point) for point in points]
+    canary_hits = _hits(canaries, thresholds)
+    reference_hits = _hits(references, thresholds)
+    return [MIResult(float(t), int(c), int(r), d.m, d.n)
+            for t, c, r in zip(thresholds, canary_hits, reference_hits)]
 
 
 def roc_to_csv(curve: RocCurve) -> str:

@@ -29,7 +29,8 @@ import math
 import struct
 from dataclasses import dataclass, replace
 
-from .attack import MIResult, median_threshold, threshold_attack, tpr_at_fpr
+from . import attack
+from .attack import MIResult
 from .baseline import LN2, _log_binomial_pmf, _log_tail
 from .exposure import ExposureReport, exposure_all
 from .ingest import AuditDataset
@@ -248,36 +249,28 @@ def audit_pipeline(
 ) -> AuditResult:
     """Exposure report plus epsilon bounds at each requested operating point.
 
-    Operating points are ``"median"`` (threshold at the lower-median
-    canary loss) or a float FPR target in [0, 1] (best attack with at most
-    that false positive rate). Every bound is ``epsilon_confident`` at its
-    own attack's counts, so no bound depends on ``tie_policy``, which
-    only sets the exposure report's ranks. When canaries were replicated,
-    a per-example bound divided by the replication count accompanies the
-    raw one. Outcomes appear in request order.
+    ``attack.operating_points`` says what a point is and evaluates them
+    all. Every bound is ``epsilon_confident`` at its own attack's counts,
+    so no bound depends on ``tie_policy``, which only sets the exposure
+    report's ranks. When canaries were replicated, a per-example bound
+    divided by the replication count accompanies the raw one. Outcomes
+    appear in request order.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     report = exposure_all(d, tie_policy)
+    points = list(operating_points)  # labelled and evaluated: read it once
     outcomes = []
-    for op in operating_points:
-        warning = None
-        if op == "median":
-            mi = threshold_attack(d, median_threshold(d))
-            label = "median"
-        elif isinstance(op, (int, float)) and not isinstance(op, bool):
+    for op, mi in zip(points, attack.operating_points(d, points)):
+        label, warning = "median", None
+        if not isinstance(op, str):  # an fpr target
             target = float(op)
-            mi = tpr_at_fpr(d, target)
             label = f"fpr_target={target:g}"
             if 0.0 < target < 1.0 / d.n:
                 warning = (
                     f"fpr target {target:g} is below the achievable resolution "
                     f"1/n = {1.0 / d.n:g}; bound computed at achieved fpr {mi.fpr:g}"
                 )
-        else:
-            raise ValueError(
-                f"operating point must be 'median' or an fpr target in [0, 1], got {op!r}"
-            )
         bound = epsilon_confident(d, mi, confidence)
         per_example_bound = _per_example(bound) if d.replications > 1 else None
         outcomes.append(AuditOutcome(operating_point=label, mi=mi, bound=bound,

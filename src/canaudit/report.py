@@ -39,9 +39,9 @@ SCHEMA_VERSION = 5
 
 
 def _histogram(exposures: np.ndarray, n: int, bins: int | None) -> dict:
-    # Exposure can only fall in [log2(n) - log2(n+1), log2(n)].
-    lo = math.log2(n) - math.log2(n + 1)
-    hi = math.log2(n)
+    # Exposure can only fall in [log2(n) - log2(n+1), log2(n)], the
+    # exposures of ranks n+1 and 1 by exposure_all's own expression.
+    lo, hi = np.log2(n) - np.log2([n + 1, 1])
     if bins is None:
         width = 0.5
         count = max(1, math.ceil((hi - lo) / width))

@@ -107,7 +107,8 @@ def brute_roc(d: AuditDataset):
 
 
 def scan_tpr_at_fpr(d: AuditDataset, target_fpr: float):
-    """Reference for tpr_at_fpr: scan the whole threshold sweep in order.
+    """Reference for an FPR-target operating point: scan the whole
+    threshold sweep in order.
 
     Keeps the first point with the largest tpr among those with
     fpr <= target_fpr, as (threshold, canary_hits, reference_hits).

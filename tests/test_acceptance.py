@@ -23,8 +23,8 @@ from canaudit import (
     exposure_all,
     exposure_of,
     group_privacy_adjust,
-    median_threshold,
     monte_carlo_baseline,
+    operating_points,
     parse_dataset,
     roc,
     serialize_dataset,
@@ -171,7 +171,7 @@ def test_criterion_07_soundness_under_the_null():
     positives = 0
     for seed in range(seeds):
         d = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=1000, n=1000, seed=seed))
-        mi = threshold_attack(d, median_threshold(d))
+        mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
         bound = epsilon_confident(d, mi, 0.95)
         if bound.confident_lower_bound > 0.0:
             positives += 1

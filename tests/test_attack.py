@@ -5,11 +5,10 @@ import pytest
 
 from canaudit import (
     exposure_all,
-    median_threshold,
+    operating_points,
     roc,
     roc_to_csv,
     threshold_attack,
-    tpr_at_fpr,
 )
 
 from conftest import brute_roc, make_dataset, random_instance, scan_tpr_at_fpr
@@ -31,7 +30,7 @@ def test_threshold_above_everything():
 def test_threshold_at_median_counts_strictly():
     losses = [float(x) for x in (5.0, 1.0, 3.0, 2.0, 4.0)]  # odd m, distinct
     d = make_dataset(losses, [0.0, 6.0])
-    t = median_threshold(d)
+    t = operating_points(d, ["median"])[0].threshold
     assert t == 3.0
     mi = threshold_attack(d, t)
     assert mi.canary_hits == (d.m - 1) // 2
@@ -46,10 +45,12 @@ def test_threshold_rejects_non_finite():
         threshold_attack(d, math.inf)
 
 
-def test_median_threshold_examples():
-    assert median_threshold(make_dataset([3.0, 1.0, 2.0], [0.0])) == 2.0
-    assert median_threshold(make_dataset([1.0, 2.0, 3.0, 4.0], [0.0])) == 2.0
-    assert median_threshold(make_dataset([7.0], [0.0])) == 7.0
+def test_median_point_examples():
+    def median(canaries):
+        return operating_points(make_dataset(canaries, [0.0]), ["median"])[0].threshold
+    assert median([3.0, 1.0, 2.0]) == 2.0
+    assert median([1.0, 2.0, 3.0, 4.0]) == 2.0
+    assert median([7.0]) == 7.0
 
 
 def test_roc_separated_pair():
@@ -95,20 +96,20 @@ def test_roc_counts_non_decreasing():
         assert np.all(np.diff(points.reference_hits) >= 0)
 
 
-def test_tpr_at_fpr_full_budget():
+def test_fpr_target_full_budget():
     rng = np.random.default_rng(31)
     d = random_instance(rng)
-    mi = tpr_at_fpr(d, 1.0)
+    mi, = operating_points(d, [1.0])
     assert mi.tpr == 1.0
 
 
-def test_tpr_at_fpr_separated_at_zero():
+def test_fpr_target_separated_at_zero():
     d = make_dataset([1.0, 2.0], [5.0, 6.0, 7.0])
-    mi = tpr_at_fpr(d, 0.0)
+    mi, = operating_points(d, [0.0])
     assert mi.tpr == 1.0 and mi.fpr == 0.0
 
 
-def test_tpr_at_fpr_achieved_granularity():
+def test_fpr_target_achieved_granularity():
     rng = np.random.default_rng(37)
     for _ in range(20):
         d = random_instance(rng, max_size=10)
@@ -116,12 +117,12 @@ def test_tpr_at_fpr_achieved_granularity():
             d.canary_losses,
             list(rng.normal(size=10)),  # exactly n=10
         )
-        mi = tpr_at_fpr(d, 0.1)
+        mi, = operating_points(d, [0.1])
         assert mi.fpr in (0.0, 0.1)
         assert mi.fpr <= 0.1
 
 
-def test_tpr_at_fpr_matches_roc_scan():
+def test_fpr_target_matches_roc_scan():
     # targets on, and one ulp either side of, the achievable rates k/n
     rng = np.random.default_rng(47)
     for _ in range(300):
@@ -130,18 +131,44 @@ def test_tpr_at_fpr_matches_roc_scan():
         for k in rng.integers(0, d.n + 1, size=3):
             at = float(k) / d.n
             targets |= {at, float(np.nextafter(at, -1.0)), float(np.nextafter(at, 2.0))}
-        for target in sorted(t for t in targets if 0.0 <= t <= 1.0):
-            mi = tpr_at_fpr(d, target)
+        targets = sorted(t for t in targets if 0.0 <= t <= 1.0)
+        median, *at_targets = operating_points(d, ["median", *targets])
+        assert median == threshold_attack(d, sorted(d.canary_losses)[(d.m + 1) // 2 - 1])
+        for target, mi in zip(targets, at_targets, strict=True):
             got = (mi.threshold, mi.canary_hits, mi.reference_hits)
             assert got == scan_tpr_at_fpr(d, target)
 
 
-def test_tpr_at_fpr_validation():
+def test_fpr_target_validation():
     d = make_dataset([1.0], [2.0])
     with pytest.raises(ValueError):
-        tpr_at_fpr(d, -0.1)
+        operating_points(d, [-0.1])
     with pytest.raises(ValueError):
-        tpr_at_fpr(d, 1.5)
+        operating_points(d, [1.5])
+
+
+def test_operating_points_batch_equals_single_calls():
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        d = random_instance(rng, tie_prob=0.5)
+        points = [0.5, "median", 0.0, 1.0, 0.5, 1.0 / d.n, "median", 0.25]
+        batch = operating_points(d, points)
+        assert batch == [operating_points(d, [point])[0] for point in points]
+    assert operating_points(d, []) == []
+
+
+def test_operating_points_count_at_their_own_thresholds():
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        d = random_instance(rng, tie_prob=float(rng.random()))
+        points = ["median", 0.0, 1.0, *rng.random(4).tolist(),
+                  *(k / d.n for k in rng.integers(0, d.n + 1, size=3))]
+        for mi in operating_points(d, points):
+            if math.isfinite(mi.threshold):
+                assert mi == threshold_attack(d, mi.threshold)
+            else:
+                expected = (0, 0) if mi.threshold < 0 else (d.m, d.n)
+                assert (mi.canary_hits, mi.reference_hits) == expected
 
 
 def test_attack_fpr_matches_optimistic_exposure_fpr():

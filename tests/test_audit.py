@@ -12,7 +12,8 @@ from canaudit import (
     epsilon_from_median_exposure,
     epsilon_point,
     group_privacy_adjust,
-    median_threshold,
+    operating_points,
+    render_json,
     simulate,
     threshold_attack,
 )
@@ -133,7 +134,7 @@ def test_clopper_pearson_validation():
 
 def test_confident_bound_positive_when_separated():
     d = simulate(GaussianShiftModel(mu=8.0, sigma=1.0, m=1000, n=1000, seed=1))
-    mi = threshold_attack(d, median_threshold(d))
+    mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
     bound = epsilon_confident(d, mi, 0.95)
     assert bound.confident_lower_bound > 0.0
     assert bound.point_estimate == math.inf  # fully separated: fpr = 0
@@ -155,7 +156,7 @@ def test_confident_bound_zero_on_tiny_samples():
 
 def test_confident_bound_records_inputs():
     d = make_dataset([0.0, 1.0, 4.0], [2.0, 3.0, 5.0])
-    mi = threshold_attack(d, median_threshold(d))
+    mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
     bound = epsilon_confident(d, mi, 0.9)
     assert bound.confidence == 0.9
     assert bound.alpha_split == ((1 - 0.9) / 2, (1 - 0.9) / 2)
@@ -168,7 +169,7 @@ def test_confident_bound_records_inputs():
 
 def test_confident_bound_non_increasing_in_confidence():
     d = simulate(GaussianShiftModel(mu=2.0, sigma=1.0, m=400, n=400, seed=5))
-    mi = threshold_attack(d, median_threshold(d))
+    mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
     bounds = [
         epsilon_confident(d, mi, c).confident_lower_bound
         for c in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
@@ -264,11 +265,30 @@ def test_pipeline_respects_request_order_and_baselines():
     assert result.outcomes[1].operating_point == "median"
 
 
+def test_pipeline_reads_a_generator_of_points_once():
+    d = make_dataset([1.0, 2.0, 3.0], [0.5, 1.5, 2.5, 3.5])
+    points = ("median", 0.5)
+    result = audit_pipeline(d, operating_points=(point for point in points))
+    assert result.outcomes == audit_pipeline(d, operating_points=points).outcomes
+    assert len(result.outcomes) == 2
+
+
+def test_pipeline_accepts_numpy_scalar_targets():
+    d = simulate(GaussianShiftModel(mu=1.0, sigma=1.0, m=200, n=300, seed=6))
+    numpy_points = ("median", np.float32(0.5), np.int64(0))
+    python_points = ("median", 0.5, 0)
+    assert render_json(build_report(d, audit_pipeline(d, numpy_points))) == \
+        render_json(build_report(d, audit_pipeline(d, python_points)))
+
+
 def test_pipeline_rejects_bad_operating_point():
     d = make_dataset([1.0], [2.0])
     with pytest.raises(ValueError):
         audit_pipeline(d, operating_points=("mean",))
     with pytest.raises(ValueError):
         audit_pipeline(d, operating_points=(True,))
+    for point in (np.True_, math.nan, None):
+        with pytest.raises(ValueError):
+            audit_pipeline(d, operating_points=(point,))
     with pytest.raises(ValueError):
         audit_pipeline(d, confidence=1.5)

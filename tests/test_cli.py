@@ -228,7 +228,7 @@ def test_roc_command_out_file_null_data(tmp_path, capsys):
     assert main(["simulate", "--mu", "0", "--m", "2000", "--n", "2000",
                  "--seed", "9", "--out-file", data_file]) == 0
     assert main(["roc", data_file, "--out-file", out_file]) == 0
-    lines = open(out_file).read().strip().splitlines()
+    lines = Path(out_file).read_text().strip().splitlines()
     for line in lines[1:]:
         _, fpr, tpr = (float(x) for x in line.split(","))
         assert abs(tpr - fpr) < 0.12
@@ -262,9 +262,9 @@ def test_import_and_roc_leave_scipy_unloaded(tmp_path):
             "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n")
     assert _run_in_fresh_interpreter(code).splitlines() == [
         f"wrote 500 canaries and 700 references to {sim}" for sim in sims.values()] + ["[]"]
-    assert open(out_file).read().startswith("threshold,fpr,tpr\n")
+    assert Path(out_file).read_text().startswith("threshold,fpr,tpr\n")
     for format, sim in sims.items():
-        d = parse_dataset(open(sim, "rb").read(), format)
+        d = parse_dataset(Path(sim).read_bytes(), format)
         assert (d.m, d.n) == (500, 700)
 
 
