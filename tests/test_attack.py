@@ -45,7 +45,7 @@ def test_threshold_rejects_non_finite():
         threshold_attack(d, math.inf)
 
 
-def test_median_point_examples():
+def test_median_threshold_examples():
     def median(canaries):
         return operating_points(make_dataset(canaries, [0.0]), ["median"])[0].threshold
     assert median([3.0, 1.0, 2.0]) == 2.0
@@ -96,20 +96,20 @@ def test_roc_counts_non_decreasing():
         assert np.all(np.diff(points.reference_hits) >= 0)
 
 
-def test_fpr_target_full_budget():
+def test_tpr_at_fpr_full_budget():
     rng = np.random.default_rng(31)
     d = random_instance(rng)
     mi, = operating_points(d, [1.0])
     assert mi.tpr == 1.0
 
 
-def test_fpr_target_separated_at_zero():
+def test_tpr_at_fpr_separated_at_zero():
     d = make_dataset([1.0, 2.0], [5.0, 6.0, 7.0])
     mi, = operating_points(d, [0.0])
     assert mi.tpr == 1.0 and mi.fpr == 0.0
 
 
-def test_fpr_target_achieved_granularity():
+def test_tpr_at_fpr_achieved_granularity():
     rng = np.random.default_rng(37)
     for _ in range(20):
         d = random_instance(rng, max_size=10)
@@ -122,7 +122,7 @@ def test_fpr_target_achieved_granularity():
         assert mi.fpr <= 0.1
 
 
-def test_fpr_target_matches_roc_scan():
+def test_tpr_at_fpr_matches_roc_scan():
     # targets on, and one ulp either side of, the achievable rates k/n
     rng = np.random.default_rng(47)
     for _ in range(300):
@@ -139,7 +139,7 @@ def test_fpr_target_matches_roc_scan():
             assert got == scan_tpr_at_fpr(d, target)
 
 
-def test_fpr_target_validation():
+def test_tpr_at_fpr_validation():
     d = make_dataset([1.0], [2.0])
     with pytest.raises(ValueError):
         operating_points(d, [-0.1])

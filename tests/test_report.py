@@ -137,8 +137,8 @@ def test_histogram_explicit_bins():
 @pytest.mark.parametrize("n", [1621, 7957])
 @pytest.mark.parametrize("bins", [None, 10])
 def test_histogram_keeps_canaries_at_both_extreme_ranks(n, bins):
-    # At these n, math.log2 and np.log2 differ by one ulp, so edges taken
-    # from math.log2 left the exposure of rank 1 or of rank n+1 outside.
+    # At these n, math.log2 and np.log2 differ by one ulp, so the edges
+    # must come from exposure_all's np.log2 to hold ranks 1 and n+1.
     d = make_dataset([-1.0, 0.5, 2.0], np.linspace(0.0, 1.0, n))
     document = build_report(d, audit_pipeline(d), histogram_bins=bins)
     assert sum(document["histogram"]["counts"]) == d.m
