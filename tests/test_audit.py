@@ -80,21 +80,71 @@ def test_clopper_pearson_matches_grid_oracle():
             assert got == pytest.approx(want, abs=2e-6)
 
 
-def test_clopper_pearson_matches_betaincinv():
-    from scipy.special import betaincinv
+# alpha = 0.999 is left out: at k = 1000, trials = 1e6 (lower) betaincinv is
+# 4.3e-10 off the root, while a 40-digit sum of the 1000-term lower tail
+# agrees with clopper_pearson to 5e-16.
+_GRID_ALPHAS = (1e-100, 1e-6, 0.005, 0.025, 0.2, 0.5, 0.9, 0.99)
 
+
+def _grid_counts():
+    """(k, trials) pairs of the betaincinv grid."""
     for trials in (1, 2, 5, 20, 100, 10**3, 10**4, 10**5, 10**6):
         ks = {0, 1, 2, trials // 1000, trials // 100, trials // 10, trials // 2,
               trials - 1, trials}
         for k in sorted(k for k in ks if k <= trials):
-            for alpha in (1e-6, 0.005, 0.025, 0.2):
-                lower = 0.0 if k == 0 else float(betaincinv(k, trials - k + 1, alpha))
-                upper = (1.0 if k == trials
-                         else float(betaincinv(k + 1, trials - k, 1.0 - alpha)))
-                assert clopper_pearson(k, trials, alpha, "lower") == pytest.approx(
-                    lower, rel=1e-10, abs=0.0), (k, trials, alpha)
-                assert clopper_pearson(k, trials, alpha, "upper") == pytest.approx(
-                    upper, rel=1e-10, abs=0.0), (k, trials, alpha)
+            yield k, trials
+
+
+def test_clopper_pearson_matches_betaincinv():
+    from scipy.special import betaincinv
+
+    for k, trials in _grid_counts():
+        for alpha in _GRID_ALPHAS:
+            lower = 0.0 if k == 0 else float(betaincinv(k, trials - k + 1, alpha))
+            assert clopper_pearson(k, trials, alpha, "lower") == pytest.approx(
+                lower, rel=1e-10, abs=0.0), (k, trials, alpha)
+            if alpha == 1e-100:  # the upper oracle's 1 - alpha rounds to 1
+                continue
+            upper = (1.0 if k == trials
+                     else float(betaincinv(k + 1, trials - k, 1.0 - alpha)))
+            assert clopper_pearson(k, trials, alpha, "upper") == pytest.approx(
+                upper, rel=1e-10, abs=0.0), (k, trials, alpha)
+
+
+def test_clopper_pearson_roots_at_the_ends_of_the_unit_interval():
+    # upper roots within rounding of p = 1
+    for k, trials, alpha in ((3, 5, 2.288216802230563e-229),
+                             (14, 16, 1.2695482514058656e-227),
+                             (0, 1, 4.545862977730304e-81)):
+        assert clopper_pearson(k, trials, alpha, "upper") == 1.0, (k, trials, alpha)
+    # a normal-approximation start beyond p = 0
+    alpha = 0.6725478637836166
+    assert clopper_pearson(0, 4, alpha, "upper") == pytest.approx(
+        -math.expm1(math.log(alpha) / 4), rel=1e-12, abs=0.0)
+
+
+def test_clopper_pearson_tail_sums_per_bound(monkeypatch):
+    import canaudit.audit
+
+    calls = [0]
+    log_tail = canaudit.audit._log_tail
+
+    def counted(*args):
+        calls[0] += 1
+        return log_tail(*args)
+
+    monkeypatch.setattr(canaudit.audit, "_log_tail", counted)
+
+    def tail_sums(k, trials, alpha, side):
+        calls[0] = 0
+        clopper_pearson(k, trials, alpha, side)
+        return calls[0]
+
+    for side in ("lower", "upper"):
+        assert tail_sums(5 * 10**5, 10**6, 0.025, side) <= 3, side
+    assert max(tail_sums(k, trials, alpha, side)
+               for k, trials in _grid_counts() for alpha in _GRID_ALPHAS
+               for side in ("lower", "upper")) <= 10
 
 
 def test_clopper_pearson_no_successes_upper_closed_form():
