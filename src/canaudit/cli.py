@@ -34,7 +34,7 @@ def _unit_interval(parser: argparse.ArgumentParser, name: str, value: float,
 
 
 def _load_dataset(args: argparse.Namespace):
-    format = args.format or ("jsonl" if args.file.endswith(".jsonl") else "csv")
+    format = args.format or ("jsonl" if args.file.lower().endswith(".jsonl") else "csv")
     return parse_dataset(Path(args.file).read_bytes(), format)
 
 

@@ -13,7 +13,10 @@ as repeated rows; repeating rows would inflate the canary count m.
 A file with only roles and losses is read in bulk, about a megabyte of
 lines per conversion. Any file the bulk reader cannot prove it reads as
 the line-by-line parser would goes to that parser, the single source of
-every diagnostic.
+every diagnostic. The line parser is one record path: each format's
+generator checks its own syntax and yields raw records, and ``_dataset``
+checks every field of one record before the next is read, so the first
+fault in the file is the one reported.
 """
 
 from __future__ import annotations
@@ -125,38 +128,6 @@ class AuditDataset:
         return _read_only(np.sort(self.reference_losses))
 
 
-class _Columns:
-    """Per-role losses and ids that the line parsers append to, row by row."""
-
-    def __init__(self):
-        self.losses = {role: [] for role in ROLES}
-        self.ids = {role: [] for role in ROLES}
-        self.canary_replications = set()
-
-    def append(self, role: str, loss: float, rec_id, reps: int) -> None:
-        if role == "canary":
-            self.canary_replications.add(reps)
-        self.losses[role].append(loss)
-        self.ids[role].append(rec_id)
-
-    def dataset(self) -> AuditDataset:
-        counts = sorted(self.canary_replications)
-        d = AuditDataset(
-            canary_losses=self.losses["canary"],
-            reference_losses=self.losses["reference"],
-            canary_ids=self.ids["canary"],
-            reference_ids=self.ids["reference"],
-            replications=counts[0] if counts else 1,
-        )
-        # Checked after the dataset's own checks, so empty roles report first.
-        if len(counts) > 1:
-            raise DatasetError(
-                f"mixed canary replication counts {counts}; "
-                "all canaries must share one replication count"
-            )
-        return d
-
-
 def _normalize_role(token: str, line: int) -> str:
     role = token.strip().lower()
     if role not in ROLES:
@@ -205,7 +176,9 @@ def _csv_rows(text: str):
         raise DatasetError(f"line {rows.line_num}: {exc}") from None
 
 
-def _parse_csv(text: str) -> _Columns:
+def _csv_records(text: str):
+    """(line, role, loss, id, replications) per CSV row, as the row spells
+    them but for replications: stripped, and 1 when the cell is absent or empty."""
     rows = _csv_rows(text)
     _, first = next(rows, (None, None))
     if first is None:
@@ -221,28 +194,23 @@ def _parse_csv(text: str) -> _Columns:
             raise DatasetError(f"header: unknown column {col!r}")
     if len(set(extras)) != len(extras):
         raise DatasetError(f"header: duplicate columns in {first!r}")
-
-    columns = _Columns()
+    id_at = header.index("id") if "id" in header else None
+    reps_at = header.index("replications") if "replications" in header else None
     for line, row in rows:
         if not row:
             continue  # blank line
         if len(row) != len(header):
-            raise DatasetError(
-                f"line {line}: expected {len(header)} fields, got {len(row)}"
-            )
-        fields = dict(zip(header, row))
-        role = _normalize_role(fields["role"], line)
-        loss = _parse_loss(fields["loss"], line)
-        rec_id = fields.get("id")
-        reps_token = fields.get("replications", "").strip()
-        reps = _parse_replications(reps_token, role, line) if reps_token else 1
-        columns.append(role, loss, rec_id, reps)
-    return columns
+            raise DatasetError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+        yield (line, row[0], row[1], None if id_at is None else row[id_at],
+               1 if reps_at is None else row[reps_at].strip() or 1)
 
 
-def _parse_jsonl(text: str) -> _Columns:
-    columns = _Columns()
-    for line, raw in enumerate(text.splitlines(), start=1):
+def _jsonl_records(text: str):
+    """(line, role, loss, id, replications) per JSON Lines object, as the
+    object holds them; replications is 1 when absent. A line ends at a line
+    feed only, so a string may hold U+2028; JSON takes a carriage return
+    before the line feed for whitespace."""
+    for line, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         try:
@@ -253,22 +221,41 @@ def _parse_jsonl(text: str) -> _Columns:
             raise DatasetError(f"line {line}: {exc}") from None
         if not isinstance(obj, dict):
             raise DatasetError(f"line {line}: expected a JSON object, got {obj!r}")
-        unknown = set(obj) - _JSONL_KEYS
-        if unknown:
-            raise DatasetError(f"line {line}: unknown keys {sorted(unknown)}")
+        if not _JSONL_KEYS.issuperset(obj):
+            raise DatasetError(f"line {line}: unknown keys {sorted(set(obj) - _JSONL_KEYS)}")
         if "role" not in obj or "loss" not in obj:
             raise DatasetError(f"line {line}: missing required keys 'role' and 'loss'")
         if not isinstance(obj["role"], str):
             raise DatasetError(f"line {line}: role must be a string, got {obj['role']!r}")
-        role = _normalize_role(obj["role"], line)
-        loss = _parse_loss(obj["loss"], line)
-        rec_id = obj.get("id")
+        yield line, obj["role"], obj["loss"], obj.get("id"), obj.get("replications", 1)
+
+
+def _dataset(records) -> AuditDataset:
+    """The dataset of (line, role, loss, id, replications) records, each
+    checked in file order before the next record is read."""
+    losses = {role: [] for role in ROLES}
+    ids = {role: [] for role in ROLES}
+    canary_replications = set()
+    for line, role, loss, rec_id, reps in records:
+        role = _normalize_role(role, line)
+        losses[role].append(_parse_loss(loss, line))
         if rec_id is not None and not isinstance(rec_id, str):
             raise DatasetError(f"line {line}: id must be a string, got {rec_id!r}")
-        reps = (_parse_replications(obj["replications"], role, line)
-                if "replications" in obj else 1)
-        columns.append(role, loss, rec_id, reps)
-    return columns
+        ids[role].append(rec_id)
+        if type(reps) is not int or reps != 1:  # a plain 1 needs no check
+            reps = _parse_replications(reps, role, line)
+        if role == "canary":
+            canary_replications.add(reps)
+    counts = sorted(canary_replications)
+    d = AuditDataset(losses["canary"], losses["reference"], ids["canary"], ids["reference"],
+                     counts[0] if counts else 1)
+    # Checked after the dataset's own checks, so empty roles report first.
+    if len(counts) > 1:
+        raise DatasetError(
+            f"mixed canary replication counts {counts}; "
+            "all canaries must share one replication count"
+        )
+    return d
 
 
 def _blocks(text: str, start: int):
@@ -313,7 +300,7 @@ def _jsonl_block(block: str):
     # leave room for no string but "role", "loss" and the role itself. So no
     # string hides a brace or a line break, and one json.loads of the joined
     # lines yields one object per line, each what json.loads of its line
-    # yields. JSON allows "\r" between tokens; str.splitlines() splits there.
+    # yields. A "\r" (a "\r\n" ending, say) sends the block to the line parser.
     if ("\r" in block or not (block.startswith("{") and block.endswith("}"))
             or block.count("}\n{") != lines - 1 or block.count('"') != 6 * lines):
         return None
@@ -394,8 +381,7 @@ def parse_dataset(raw: bytes | str, format: str) -> AuditDataset:
     text = text.removeprefix("\ufeff")
     d = _read_bulk(text, format)
     if d is None:
-        columns = _parse_csv(text) if format == "csv" else _parse_jsonl(text)
-        d = columns.dataset()
+        d = _dataset(_csv_records(text) if format == "csv" else _jsonl_records(text))
     return d
 
 

@@ -108,6 +108,13 @@ def test_audit_format_inference_and_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_audit_infers_jsonl_from_an_upper_case_extension(tmp_path, capsys):
+    path = tmp_path / "d.JSONL"
+    path.write_text(serialize_dataset(make_dataset([1.0], [2.0]), "jsonl"), encoding="utf-8")
+    assert main(["audit", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_audit_missing_file_exits_one(tmp_path, capsys):
     assert main(["audit", str(tmp_path / "absent.csv")]) == 1
     assert "error:" in capsys.readouterr().err

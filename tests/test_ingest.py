@@ -234,7 +234,35 @@ ERROR_CASES = [
      "line 4: malformed loss 'x'"),
     ("csv", 'role,loss,id\ncanary,1.0,"a\nb\nc"\n\nreference,2.0\n',
      "line 6: expected 3 fields, got 2"),
+    # replications that equal 1 but are no plain integer still get the full check
+    ("jsonl", '{"role": "canary", "loss": 1}\n'
+              '{"role": "reference", "loss": 2, "replications": 1.0}',
+     "line 2: replications must be an integer, got 1.0"),
+    ("jsonl", '{"role": "canary", "loss": 1}\n'
+              '{"role": "reference", "loss": 2, "replications": true}',
+     "line 2: replications must be an integer, got True"),
+    ("jsonl", '{"role": "canary", "loss": 1, "replications": null}',
+     "line 1: malformed replications None"),
 ]
+
+
+def test_replications_of_one_accepted():
+    jsonl = ('{"role": "canary", "loss": 1}\n'
+             '{"role": "reference", "loss": 2, "replications": 1}\n')
+    csv_text = "role,loss,replications\ncanary,1, 1 \nreference,2, 1 \n"
+    for raw, format in ((jsonl, "jsonl"), (csv_text, "csv")):
+        assert parse_dataset(raw, format).replications == 1
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_jsonl_lines_end_at_line_feed_only(newline):
+    # json.dumps(ensure_ascii=False) leaves U+2028 and U+0085 in strings as
+    # they are; str.splitlines() would break the line inside them.
+    rows = [{"role": "canary", "loss": 1.0, "id": "a\u2028b"},
+            {"role": "reference", "loss": 2.0, "id": "a\x85b"}]
+    text = "".join(json.dumps(row, ensure_ascii=False) + newline for row in rows)
+    d = parse_dataset(text, "jsonl")
+    assert d.canary_ids == ("a\u2028b",) and d.reference_ids == ("a\x85b",)
 
 
 @pytest.mark.parametrize("format,raw,message", ERROR_CASES)
@@ -434,7 +462,7 @@ def test_bulk_csv_matches_line_parser(text, as_bytes):
          '{"role": "canary", "loss": 1},{"role": "reference", "loss": 2}\n', False)
 # Six quotes a line, but one object split over two lines after another.
 @example('{"role": "canary", "loss": 1}, {"role": "reference"\n"loss": 2}\n', False)
-# JSON takes "\r" for whitespace, str.splitlines() for a line break.
+# JSON takes "\r" for whitespace; the line parser splits lines at "\n" only.
 @example('{"role": "canary",\r"loss": 1}\n{"role": "reference", "loss": 2}\n', False)
 def test_bulk_jsonl_matches_line_parser(text, as_bytes):
     _check_bulk_matches_line_parser(text.encode("utf-8") if as_bytes else text, "jsonl")
