@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exposure import exposure_quantile
+from .exposure import _exposure, exposure_quantile
 
 LN2 = math.log(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -114,10 +114,9 @@ def monte_carlo_baseline(
         raise ValueError("statistic must be 'mean' without q or 'quantile' with q, "
                          f"got {statistic!r} and q={q!r}")
 
-    log2_n = np.log2(n)
     stats = np.empty(trials, dtype=np.float64)
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        exposures = log2_n - np.log2(np.random.default_rng(child).integers(1, n + 2, size=m))
+        exposures = _exposure(np.random.default_rng(child).integers(1, n + 2, size=m), n)
         stats[t] = (exposures.mean() if statistic == "mean"
                     else exposure_quantile(exposures, q))
     return BaselineSummary(

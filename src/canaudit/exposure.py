@@ -56,6 +56,11 @@ class ExposureReport:
         return (self.ranks - 1) / self.n
 
 
+def _exposure(ranks, n: int):
+    """log2(n) - log2(rank), the one spelling of exposure in bits."""
+    return np.log2(n) - np.log2(ranks)
+
+
 def rank(loss: float, reference_losses, tie_policy: str = "pessimistic") -> int:
     """Rank of a loss among sorted reference losses, in [1, n+1].
 
@@ -74,7 +79,7 @@ def exposure_of(loss: float, reference_losses, tie_policy: str = "pessimistic") 
     """Exposure in bits of a loss against sorted reference losses."""
     refs = np.asarray(reference_losses, dtype=np.float64)
     r = rank(loss, refs, tie_policy)
-    return float(np.log2(refs.size) - np.log2(r))
+    return float(_exposure(r, refs.size))
 
 
 def exposure_quantile(exposures, q: float) -> float:
@@ -102,7 +107,7 @@ def exposure_all(d: AuditDataset, tie_policy: str = "pessimistic") -> ExposureRe
     side = _searchsorted_side(tie_policy)
     refs = d.sorted_reference_losses
     ranks = np.searchsorted(refs, d.canary_losses, side=side) + 1
-    exposures = np.log2(refs.size) - np.log2(ranks)
+    exposures = _exposure(ranks, refs.size)
     quantiles = {q: exposure_quantile(exposures, q) for q in (0.5, 0.75)}
     return ExposureReport(
         ranks=ranks,

@@ -300,7 +300,8 @@ def _jsonl_block(block: str):
     # leave room for no string but "role", "loss" and the role itself. So no
     # string hides a brace or a line break, and one json.loads of the joined
     # lines yields one object per line, each what json.loads of its line
-    # yields. A "\r" (a "\r\n" ending, say) sends the block to the line parser.
+    # yields. A lone "\r" (``_read_bulk`` made each "\r\n" a "\n") sends the
+    # block to the line parser.
     if ("\r" in block or not (block.startswith("{") and block.endswith("}"))
             or block.count("}\n{") != lines - 1 or block.count('"') != 6 * lines):
         return None
@@ -326,8 +327,10 @@ def _read_bulk(text: str, format: str) -> AuditDataset | None:
     Returns None unless every line is one exactly spelled role and one
     finite loss that the line parser would read to the same float, and
     both roles occur; the line parser then reads the file and reports
-    what is wrong with it.
+    what is wrong with it. A "\r\n" line end reads as "\n".
     """
+    if "\r" in text:  # a scan is ~30x cheaper than a replace that finds nothing
+        text = text.replace("\r\n", "\n")
     if format == "csv":
         header = ",".join(_CSV_REQUIRED) + "\n"
         if not text.startswith(header):

@@ -5,7 +5,12 @@ formats values straight out of the document (via ``json.dumps`` per
 value), so every number in the Markdown appears verbatim in the JSON and
 nothing is ever computed twice. The one exception is each canary's
 empirical FPR, exactly (rank - 1)/n, which the JSON leaves out and the
-Markdown and CSV renderings derive from its rank.
+Markdown and CSV renderings derive from its rank. One writer, ``_table``,
+lays out every Markdown table.
+
+An ``epsilon_bounds`` row is its attack's operating point and counts,
+then every ``EpsilonBound`` field in declaration order (inf as null, the
+alpha split as a list), so a new field is a schema change.
 
 Per-canary values are stored as columns; the JSON is strict (null for inf)
 and compact, one line (``jq .`` indents it). The CSV quotes ids by the
@@ -32,16 +37,15 @@ from . import __version__
 from .audit import INDEPENDENCE_NOTICE, AuditResult, epsilon_from_median_exposure
 from .baseline import (baseline_quantile_exposure, expected_exposure_asymptote,
                        expected_exposure_exact, quantile_p_value)
-from .exposure import ExposureReport
+from .exposure import ExposureReport, _exposure
 from .ingest import AuditDataset, _csv_field, _csv_text, dataset_summary
 
 SCHEMA_VERSION = 5
 
 
 def _histogram(exposures: np.ndarray, n: int, bins: int | None) -> dict:
-    # Exposure can only fall in [log2(n) - log2(n+1), log2(n)], the
-    # exposures of ranks n+1 and 1 by exposure_all's own expression.
-    lo, hi = np.log2(n) - np.log2([n + 1, 1])
+    # Exposure can only fall between those of ranks n+1 and 1.
+    lo, hi = _exposure(np.array([n + 1, 1]), n)
     if bins is None:
         width = 0.5
         count = max(1, math.ceil((hi - lo) / width))
@@ -73,29 +77,16 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def _bound_rows(result: AuditResult) -> list[dict]:
-    rows = []
-    for outcome in result.outcomes:
-        for bound in ([outcome.bound] if outcome.per_example_bound is None
-                      else [outcome.bound, outcome.per_example_bound]):
-            rows.append(
-                {
-                    "operating_point": outcome.operating_point,
-                    "threshold": _finite_or_none(outcome.mi.threshold),
-                    "tpr": outcome.mi.tpr,
-                    "fpr": outcome.mi.fpr,
-                    "canary_hits": outcome.mi.canary_hits,
-                    "reference_hits": outcome.mi.reference_hits,
-                    "point_estimate": _finite_or_none(bound.point_estimate),
-                    "confident_lower_bound": bound.confident_lower_bound,
-                    "confidence": bound.confidence,
-                    "alpha_split": list(bound.alpha_split),
-                    "tpr_lower": bound.tpr_lower,
-                    "fpr_upper": bound.fpr_upper,
-                    "replications": bound.replications,
-                    "per_example": bound.per_example,
-                }
-            )
-    return rows
+    """Per bound, as ``AuditResult.bounds`` walks them: its attack's operating
+    point and counts, then the bound's fields in declaration order."""
+    return [{"operating_point": outcome.operating_point,
+             "threshold": _finite_or_none(outcome.mi.threshold), "tpr": outcome.mi.tpr,
+             "fpr": outcome.mi.fpr, "canary_hits": outcome.mi.canary_hits,
+             "reference_hits": outcome.mi.reference_hits, **vars(bound),
+             "point_estimate": _finite_or_none(bound.point_estimate),
+             "alpha_split": list(bound.alpha_split)}
+            for outcome in result.outcomes
+            for bound in (outcome.bound, outcome.per_example_bound) if bound is not None]
 
 
 def build_report(
@@ -163,74 +154,60 @@ def _canary_columns(document: dict):
             columns["exposure"], ((rank - 1) / n for rank in columns["rank"]))
 
 
+def _opt(value) -> str:
+    return "-" if value is None else _fmt(value)
+
+
+def _table(out: io.StringIO, header: tuple[str, ...], rows) -> None:
+    """A Markdown table: the header line, its rule, then a line per list of cells."""
+    out.write(f"| {' | '.join(header)} |\n|{'---|' * len(header)}\n")
+    for cells in rows:
+        out.write(f"| {' | '.join(cells)} |\n")
+
+
 def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
     """Human-readable rendering of a report document."""
     out = io.StringIO()
     ds = document["dataset"]
-    out.write("# Canary exposure audit\n\n")
-    out.write(f"tool version {document['tool_version']}, ")
-    out.write(f"schema version {_fmt(document['schema_version'])}\n\n")
-
-    out.write("## Dataset\n\n")
-    out.write(f"- canaries (m): {_fmt(ds['m'])}\n")
-    out.write(f"- references (n): {_fmt(ds['n'])}\n")
-    out.write(f"- canary replications: {_fmt(ds['replications'])}\n")
+    out.write(f"# Canary exposure audit\n\ntool version {document['tool_version']}, "
+              f"schema version {_fmt(document['schema_version'])}\n\n")
+    out.write(f"## Dataset\n\n- canaries (m): {_fmt(ds['m'])}\n"
+              f"- references (n): {_fmt(ds['n'])}\n"
+              f"- canary replications: {_fmt(ds['replications'])}\n")
     for role in ("canary_loss", "reference_loss"):
         stats = ds[role]
-        out.write(
-            f"- {role.replace('_', ' ')}: min {_fmt(stats['min'])}, "
-            f"max {_fmt(stats['max'])}, mean {_fmt(stats['mean'])}\n"
-        )
+        out.write(f"- {role.replace('_', ' ')}: min {_fmt(stats['min'])}, "
+                  f"max {_fmt(stats['max'])}, mean {_fmt(stats['mean'])}\n")
 
     out.write("\n## Exposure vs. random guessing\n\n")
-    out.write("| statistic | observed | exact baseline | asymptotic baseline "
-              "| p-value |\n")
-    out.write("|---|---|---|---|---|\n")
-    for row in document["baselines"]:
-        name = row["statistic"] if row["q"] is None else f"quantile {_fmt(row['q'])}"
-        exact, p_value = ("-" if row[key] is None else _fmt(row[key])
-                          for key in ("exact", "p_value"))
-        out.write(f"| {name} | {_fmt(row['observed'])} | {exact} "
-                  f"| {_fmt(row['asymptotic'])} | {p_value} |\n")
-    out.write(
-        "\nepsilon from median exposure, ln(2) * (median exposure - 1), "
-        f"tie policy {document['parameters']['tie_policy']}: "
-        f"{_fmt(document['exposure']['epsilon_from_median_exposure'])}\n"
-    )
+    _table(out, ("statistic", "observed", "exact baseline", "asymptotic baseline", "p-value"),
+           ([row["statistic"] if row["q"] is None else f"quantile {_fmt(row['q'])}",
+             _fmt(row["observed"]), _opt(row["exact"]), _fmt(row["asymptotic"]),
+             _opt(row["p_value"])] for row in document["baselines"]))
+    out.write("\nepsilon from median exposure, ln(2) * (median exposure - 1), "
+              f"tie policy {document['parameters']['tie_policy']}: "
+              f"{_fmt(document['exposure']['epsilon_from_median_exposure'])}\n")
 
     out.write("\n## Epsilon lower bounds\n\n")
-    out.write("| operating point | per-example | point estimate "
-              "| confident lower bound | confidence | tpr | fpr |\n")
-    out.write("|---|---|---|---|---|---|---|\n")
-    for row in document["epsilon_bounds"]:
-        out.write(
-            f"| {row['operating_point']} | {_fmt(row['per_example'])} "
-            f"| {_fmt(row['point_estimate'])} "
-            f"| {_fmt(row['confident_lower_bound'])} | {_fmt(row['confidence'])} "
-            f"| {_fmt(row['tpr'])} | {_fmt(row['fpr'])} |\n"
-        )
+    keys = ("per_example", "point_estimate", "confident_lower_bound", "confidence", "tpr", "fpr")
+    _table(out, ("operating point", "per-example", "point estimate", "confident lower bound",
+                 "confidence", "tpr", "fpr"),
+           ([row["operating_point"], *(_fmt(row[key]) for key in keys)]
+            for row in document["epsilon_bounds"]))
 
     out.write("\n## Warnings\n\n")
-    for warning in document["warnings"]:
-        out.write(f"- {warning}\n")
+    out.writelines(f"- {warning}\n" for warning in document["warnings"])
 
-    hist = document["histogram"]
+    edges, counts = document["histogram"]["bin_edges"], document["histogram"]["counts"]
     out.write("\n## Exposure histogram\n\n")
-    out.write("| bin | count |\n|---|---|\n")
-    for i, count in enumerate(hist["counts"]):
-        lo, hi = hist["bin_edges"][i], hist["bin_edges"][i + 1]
-        out.write(f"| [{_fmt(lo)}, {_fmt(hi)}] | {_fmt(count)} |\n")
+    _table(out, ("bin", "count"), ([f"[{_fmt(lo)}, {_fmt(hi)}]", _fmt(count)]
+                                   for lo, hi, count in zip(edges, edges[1:], counts)))
 
     out.write("\n## Per-canary exposure\n\n")
-    out.write("| index | id | loss | rank | exposure | empirical fpr |\n")
-    out.write("|---|---|---|---|---|---|\n")
     rows = itertools.islice(zip(*_canary_columns(document)), max_canary_rows)
-    for index, rec_id, loss, rank, exposure, fpr in rows:
-        rec_id = "-" if rec_id is None else _cell(rec_id)
-        out.write(
-            f"| {_fmt(index)} | {rec_id} | {_fmt(loss)} "
-            f"| {_fmt(rank)} | {_fmt(exposure)} | {_fmt(fpr)} |\n"
-        )
+    _table(out, ("index", "id", "loss", "rank", "exposure", "empirical fpr"),
+           ([_fmt(index), "-" if rec_id is None else _cell(rec_id), *map(_fmt, values)]
+            for index, rec_id, *values in rows))
     if document["exposure"]["m"] > max_canary_rows:
         out.write("\n(table truncated; the JSON report carries every row)\n")
     return out.getvalue()

@@ -180,6 +180,28 @@ def test_invalid_flags_exit_two(tmp_path):
     assert exc.value.code == 2
 
 
+def test_audit_histogram_bins_flag(tmp_path, capsys):
+    path = _write_dataset(tmp_path, make_dataset([0.5, 1.5, 2.5], [1.0, 2.0]))
+    assert main(["audit", path, "--histogram-bins", "3", "--out", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["histogram"]["counts"]) == 3
+
+
+@pytest.mark.parametrize("command,message", [
+    # the file is absent: flags are checked before it is read
+    (["audit", "absent.csv", "--histogram-bins", "0"], "--histogram-bins must be >= 1"),
+    (["audit", "absent.csv", "--fpr-target", "1.5"], "--fpr-target must be in [0, 1]"),
+    (["baseline", "--m", "0", "--n", "3"], "--m must be >= 1"),
+    (["baseline", "--m", "3", "--n", "3", "--statistic", "quantile=x"],
+     "malformed quantile in --statistic 'quantile=x'"),
+])
+def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["baseline", "--m", "3", "--n", "3", "--seed", "-1"],
     ["simulate", "--mu", "1", "--m", "3", "--n", "3", "--seed", "-1", "--out-file", "x.csv"],

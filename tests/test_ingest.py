@@ -288,6 +288,13 @@ def test_bulk_reader_reads_plain_files():
 
 
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_bulk_reader_reads_crlf_line_ends(format):
+    d = make_dataset([1.5, -0.0, 2.25], [2.5, 1e-300])
+    text = serialize_dataset(d, format).replace("\n", "\r\n")
+    assert _identical(ingest._read_bulk(text, format), d)
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
 def test_byte_order_mark_is_skipped(format):
     d = make_dataset([1.5, -0.0], [2.5])
     text = serialize_dataset(d, format)
@@ -313,6 +320,16 @@ def test_loss_record_invariants():
         AuditDataset(canary_losses=[1.0, 2.0], reference_losses=[2.0], canary_ids=["a"])
     with pytest.raises(DatasetError, match="ids"):
         AuditDataset(canary_losses=[1.0], reference_losses=[2.0], reference_ids=["a", "b"])
+
+
+def test_ids_must_be_strings():
+    with pytest.raises(DatasetError, match="ids must be strings or None"):
+        AuditDataset([1.0], [2.0], canary_ids=[1])
+
+
+def test_serialize_rejects_unknown_format():
+    with pytest.raises(ValueError, match="format"):
+        serialize_dataset(make_dataset([1.0], [2.0]), "xml")
 
 
 def test_dataset_requires_consistent_roles():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from canaudit import (
+    __version__,
     TIE_POLICIES,
     GaussianShiftModel,
     audit_pipeline,
@@ -275,6 +276,63 @@ def test_markdown_per_canary_table_golden():
     )
     untruncated = render_markdown(_golden_document(), max_canary_rows=5)
     assert untruncated.endswith("| 4 | f | 0.25 | 1 | 2.0 | 0.0 |\n")
+
+
+def test_markdown_rendering_golden():
+    assert render_markdown(_golden_document()) == (
+        "# Canary exposure audit\n\n"
+        f"tool version {__version__}, schema version 5\n\n"
+        "## Dataset\n\n"
+        "- canaries (m): 5\n"
+        "- references (n): 4\n"
+        "- canary replications: 2\n"
+        "- canary loss: min 0.25, max 3.5, mean 1.65\n"
+        "- reference loss: min 1.0, max 4.0, mean 2.5\n\n"
+        "## Exposure vs. random guessing\n\n"
+        "| statistic | observed | exact baseline | asymptotic baseline | p-value |\n"
+        "|---|---|---|---|---|\n"
+        "| mean | 1.0830074998557688 | 0.6186218808782962 | 1.4426950408889634 | - |\n"
+        "| quantile 0.5 | 1.0 | - | 1.0 | 0.3571428571428594 |\n"
+        "| quantile 0.75 | 2.0 | - | 2.0 | 0.27777777777777946 |\n\n"
+        "epsilon from median exposure, ln(2) * (median exposure - 1), "
+        "tie policy pessimistic: 0.0\n\n"
+        "## Epsilon lower bounds\n\n"
+        "| operating point | per-example | point estimate | confident lower bound "
+        "| confidence | tpr | fpr |\n"
+        "|---|---|---|---|---|---|---|\n"
+        "| median | false | 0.47000362924573563 | 0.0 | 0.95 | 0.4 | 0.25 |\n"
+        "| median | true | 0.23500181462286782 | 0.0 | 0.95 | 0.4 | 0.25 |\n"
+        "| fpr_target=0.25 | false | 0.8754687373538999 | 0.0 | 0.95 | 0.6 | 0.25 |\n"
+        "| fpr_target=0.25 | true | 0.4377343686769499 | 0.0 | 0.95 | 0.6 | 0.25 |\n\n"
+        "## Warnings\n\n"
+        "- canary and reference losses are assumed independent (heuristic); "
+        "dependence-aware corrections are out of scope\n\n"
+        "## Exposure histogram\n\n"
+        "| bin | count |\n"
+        "|---|---|\n"
+        "| [-0.3219280948873622, 0.17807190511263782] | 1 |\n"
+        "| [0.17807190511263782, 0.6780719051126378] | 1 |\n"
+        "| [0.6780719051126378, 1.1780719051126378] | 1 |\n"
+        "| [1.1780719051126378, 1.6780719051126378] | 0 |\n"
+        "| [1.6780719051126378, 2.178071905112638] | 2 |\n\n"
+        "## Per-canary exposure\n\n"
+        "| index | id | loss | rank | exposure | empirical fpr |\n"
+        "|---|---|---|---|---|---|\n"
+        "| 0 | a | 0.5 | 1 | 2.0 | 0.0 |\n"
+        "| 1 | b | 1.5 | 2 | 1.0 | 0.25 |\n"
+        "| 2 | - | 2.5 | 3 | 0.4150374992788439 | 0.5 |\n"
+        "| 3 | d,e | 3.5 | 4 | 0.0 | 0.75 |\n"
+        "| 4 | f | 0.25 | 1 | 2.0 | 0.0 |\n"
+    )
+
+
+def test_epsilon_bound_row_key_order():
+    row = _golden_document()["epsilon_bounds"][0]
+    assert list(row) == [
+        "operating_point", "threshold", "tpr", "fpr", "canary_hits", "reference_hits",
+        "point_estimate", "confident_lower_bound", "confidence", "alpha_split",
+        "tpr_lower", "fpr_upper", "replications", "per_example",
+    ]
 
 
 def test_json_is_strict_when_the_loss_sum_overflows():
