@@ -146,10 +146,20 @@ def operating_points(d: AuditDataset, points) -> list[MIResult]:
             for t, c, r in zip(thresholds, canary_hits, reference_hits)]
 
 
+def _rate_cells(hits: np.ndarray, total: int):
+    """repr(hits[i] / total) per point, formatting each distinct count once:
+    a sweep has at most total + 1 of them. ``(counts / total)[j]`` is the
+    same division as the rate of every point with that count."""
+    counts, inverse = np.unique(hits, return_inverse=True)
+    cells = list(map(repr, (counts / total).tolist()))
+    return map(cells.__getitem__, inverse.tolist())
+
+
 def roc_to_csv(curve: RocCurve) -> str:
     """Serialize a threshold sweep as ``threshold,fpr,tpr`` rows."""
     # tolist() gives Python floats: their repr round-trips, while numpy 2
     # writes np.float64(...) for a numpy scalar.
     return _csv_text(("threshold", "fpr", "tpr"),
-                     [map(repr, column.tolist())
-                      for column in (curve.threshold, curve.fpr, curve.tpr)])
+                     [map(repr, curve.threshold.tolist()),
+                      _rate_cells(curve.reference_hits, curve.n),
+                      _rate_cells(curve.canary_hits, curve.m)])

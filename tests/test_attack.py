@@ -197,6 +197,21 @@ def test_null_symmetry_of_rates():
         assert abs(diffs.mean()) < 3 * se + 1e-12
 
 
+def test_roc_csv_golden():
+    # Ties within and across roles, m != n, both infinite endpoints.
+    d = make_dataset([0.1, 2.5, 2.5], [2.5, 3.0, 0.1, 3.0, -1.0, 0.1, 7.0])
+    assert roc_to_csv(roc(d)) == (
+        "threshold,fpr,tpr\n"
+        "-inf,0.0,0.0\n"
+        "-1.0,0.0,0.0\n"
+        "0.1,0.14285714285714285,0.0\n"
+        "2.5,0.42857142857142855,0.3333333333333333\n"
+        "3.0,0.5714285714285714,1.0\n"
+        "7.0,0.8571428571428571,1.0\n"
+        "inf,1.0,1.0\n"
+    )
+
+
 def test_roc_csv_round_trips():
     d = make_dataset([1.0, 3.0], [2.0, 4.0])
     text = roc_to_csv(roc(d))

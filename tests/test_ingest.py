@@ -279,12 +279,21 @@ def test_bulk_reader_defers_on_every_error(format, raw, message):
 
 
 def test_bulk_reader_reads_plain_files():
-    d = make_dataset(np.random.default_rng(3).normal(size=30_000),
-                     np.random.default_rng(4).normal(size=20_000))
-    for format in ("csv", "jsonl"):
-        text = serialize_dataset(d, format)
-        assert len(text) > ingest._BLOCK_CHARS  # at least two blocks
-        assert _identical(ingest._read_bulk(text, format), d)
+    canaries = np.random.default_rng(3).normal(size=30_000)
+    references = np.random.default_rng(4).normal(size=20_000)
+    # Losses rounded to two decimals repeat within a block, so blocks are
+    # read a distinct line at a time until the first mostly distinct block.
+    tied_canaries = np.random.default_rng(5).normal(size=100_000).round(2)
+    tied_references = np.random.default_rng(6).normal(size=80_000).round(2)
+    datasets = [make_dataset(canaries, references),
+                make_dataset(tied_canaries, tied_references),
+                make_dataset(tied_canaries, references),  # tied blocks, then distinct
+                make_dataset(canaries, tied_references)]  # distinct blocks, then tied
+    for d in datasets:
+        for format in ("csv", "jsonl"):
+            text = serialize_dataset(d, format)
+            assert len(text) > ingest._BLOCK_CHARS  # at least two blocks
+            assert _identical(ingest._read_bulk(text, format), d)
 
 
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
@@ -465,6 +474,10 @@ def _check_bulk_matches_line_parser(raw, format):
 @example("role,loss\ncanary,1,reference,2\nreference,3\n", False)
 # csv ends a record at "\r", where float() takes it for whitespace.
 @example("role,loss\ncanary,\r1.0\nreference,2.0\n", False)
+# Identical lines fill the first blocks, which are read a distinct line at
+# a time; a later block holds an odd row.
+@example("role,loss\n" + "canary,1\n" * 16
+         + "canary,1_0\ncanary,1\ncanary,1\nreference,2\n" * 2, False)
 def test_bulk_csv_matches_line_parser(text, as_bytes):
     _check_bulk_matches_line_parser(text.encode("utf-8") if as_bytes else text, "csv")
 
@@ -481,5 +494,14 @@ def test_bulk_csv_matches_line_parser(text, as_bytes):
 @example('{"role": "canary", "loss": 1}, {"role": "reference"\n"loss": 2}\n', False)
 # JSON takes "\r" for whitespace; the line parser splits lines at "\n" only.
 @example('{"role": "canary",\r"loss": 1}\n{"role": "reference", "loss": 2}\n', False)
+# Identical lines fill the first blocks, which are read a distinct line at
+# a time; a later block holds an odd row.
+@example('{"role": "canary", "loss": 1}\n' * 6 + '{"role": "canary", "loss": 1e400}\n' * 2
+         + '{"role": "reference", "loss": 2}\n', False)
+@example('{"role": "canary", "loss": 1}\n' * 6
+         + '{"role": "reference", "role": "canary", "loss": 1}\n' * 2
+         + '{"role": "reference", "loss": 2}\n', False)
+@example('{"role": "canary", "loss": 1}\n' * 6 + '{"loss": 2, "role": "reference"}\n' * 2
+         + '{"role": "reference", "loss": 2}\n', False)
 def test_bulk_jsonl_matches_line_parser(text, as_bytes):
     _check_bulk_matches_line_parser(text.encode("utf-8") if as_bytes else text, "jsonl")
