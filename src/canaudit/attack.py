@@ -14,6 +14,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -147,12 +148,15 @@ def operating_points(d: AuditDataset, points) -> list[MIResult]:
 
 
 def _rate_cells(hits: np.ndarray, total: int):
-    """repr(hits[i] / total) per point, formatting each distinct count once:
-    a sweep has at most total + 1 of them. ``(counts / total)[j]`` is the
-    same division as the rate of every point with that count."""
-    counts, inverse = np.unique(hits, return_inverse=True)
-    cells = list(map(repr, (counts / total).tolist()))
-    return map(cells.__getitem__, inverse.tolist())
+    """repr(hits[i] / total) per point, formatting each distinct count's rate
+    once per chunk of 65536 points, so no list spans the whole sweep.
+    ``(counts / total)[j]`` is the same division as every such point's rate."""
+    def chunk_cells(chunk):
+        counts, inverse = np.unique(chunk, return_inverse=True)
+        cells = list(map(repr, (counts / total).tolist()))
+        return map(cells.__getitem__, inverse.tolist())
+    step = 1 << 16
+    return chain.from_iterable(map(chunk_cells, np.split(hits, range(step, hits.size, step))))
 
 
 def roc_to_csv(curve: RocCurve) -> str:

@@ -326,7 +326,7 @@ def _jsonl_block(block: str):
 
 
 def _read_bulk(text: str, format: str) -> AuditDataset | None:
-    """The dataset of a file with only role and loss, read a block at a time.
+    r"""The dataset of a file with only role and loss, read a block at a time.
 
     Returns None unless every line is one exactly spelled role and one
     finite loss that the line parser would read to the same float, and

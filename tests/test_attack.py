@@ -213,15 +213,18 @@ def test_roc_csv_golden():
 
 
 def test_roc_csv_round_trips():
-    d = make_dataset([1.0, 3.0], [2.0, 4.0])
-    text = roc_to_csv(roc(d))
-    lines = text.strip().splitlines()
-    assert lines[0] == "threshold,fpr,tpr"
-    parsed = [tuple(float(tok) for tok in line.split(",")) for line in lines[1:]]
-    points = roc(d)
-    assert len(parsed) == len(points)
-    columns = zip(points.threshold, points.fpr, points.tpr)
-    for (t, fpr, tpr), (threshold, point_fpr, point_tpr) in zip(parsed, columns):
-        assert t == threshold
-        assert fpr == point_fpr
-        assert tpr == point_tpr
+    rng = np.random.default_rng(8)
+    # The second sweep has more points than one chunk of rate cells.
+    for d in (make_dataset([1.0, 3.0], [2.0, 4.0]),
+              make_dataset(rng.normal(size=30_000).round(3), rng.normal(size=70_000))):
+        text = roc_to_csv(roc(d))
+        lines = text.strip().splitlines()
+        assert lines[0] == "threshold,fpr,tpr"
+        parsed = [tuple(float(tok) for tok in line.split(",")) for line in lines[1:]]
+        points = roc(d)
+        assert len(parsed) == len(points)
+        columns = zip(points.threshold, points.fpr, points.tpr)
+        for (t, fpr, tpr), (threshold, point_fpr, point_tpr) in zip(parsed, columns):
+            assert t == threshold
+            assert fpr == point_fpr
+            assert tpr == point_tpr
