@@ -34,7 +34,7 @@ from . import attack
 from .attack import MIResult
 from .baseline import LN2, _log_binomial_pmf, _log_tail
 from .exposure import ExposureReport, exposure_all
-from .ingest import AuditDataset
+from .ingest import AuditDataset, _positive_integer
 from .simulate import _ndtri
 
 INDEPENDENCE_NOTICE = (
@@ -218,9 +218,7 @@ def epsilon_confident(d: AuditDataset, mi: MIResult, confidence: float) -> Epsil
 
 def group_privacy_adjust(epsilon: float, replications: int) -> float:
     """Per-example epsilon when a canary was duplicated ``replications`` times."""
-    if isinstance(replications, bool) or not isinstance(replications, int) \
-            or replications < 1:
-        raise ValueError(f"replications must be a positive integer, got {replications!r}")
+    replications = _positive_integer(replications, "replications")
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     return epsilon / replications

@@ -94,15 +94,13 @@ def monte_carlo_baseline(
 ) -> BaselineSummary:
     """Simulate the random-guessing distribution of an exposure aggregate.
 
-    Each trial draws m independent ranks uniformly from {1, ..., n+1},
-    converts them to exposures, and evaluates the requested aggregate
-    (``"mean"``, or ``"quantile"`` with ``q``). Deterministic given
+    Each trial samples the permutation null that ``quantile_p_value``
+    tests: the canaries take a uniform m-subset of the m + n pooled
+    positions, and the i-th smallest position p (both from 0) has p - i
+    references below it, so rank p - i + 1, marginally uniform on
+    {1, ..., n+1}. The trial evaluates the requested aggregate (``"mean"``,
+    or ``"quantile"`` with ``q``) of their exposures. Deterministic given
     ``seed``: trial t draws from child stream t of the seed.
-
-    This iid-rank model ignores reference-sampling noise. An audit ranks
-    every canary against the same n references, which moves all ranks
-    together, so ``mc_std`` understates an audit's null spread, by up to
-    sqrt(2) at m = n. Test an audit with ``quantile_p_value`` instead.
     """
     if m < 1 or n < 1 or trials < 1:
         raise ValueError(f"m, n, trials must all be >= 1, got {(m, n, trials)}")
@@ -116,7 +114,8 @@ def monte_carlo_baseline(
 
     stats = np.empty(trials, dtype=np.float64)
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        exposures = _exposure(np.random.default_rng(child).integers(1, n + 2, size=m), n)
+        subset = np.random.default_rng(child).choice(m + n, m, replace=False, shuffle=False)
+        exposures = _exposure(np.sort(subset) - np.arange(m) + 1, n)
         stats[t] = (exposures.mean() if statistic == "mean"
                     else exposure_quantile(exposures, q))
     return BaselineSummary(

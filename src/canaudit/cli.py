@@ -138,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     baseline = sub.add_parser(
         "baseline", help="random-guessing baseline for an exposure statistic",
-        description="Monte Carlo under iid uniform ranks. It ignores reference-sampling "
-        "noise, so its std understates an audit's null spread, by up to sqrt(2) at m = n.",
+        description="Monte Carlo under the permutation null of the audit's p-values: every "
+        "interleaving of canary and reference losses is equally likely.",
     )
     baseline.add_argument("--m", type=int, required=True, help="number of canaries")
     baseline.add_argument("--n", type=int, required=True, help="number of references")

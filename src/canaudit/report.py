@@ -38,7 +38,7 @@ from .audit import INDEPENDENCE_NOTICE, AuditResult, epsilon_from_median_exposur
 from .baseline import (baseline_quantile_exposure, expected_exposure_asymptote,
                        expected_exposure_exact, quantile_p_value)
 from .exposure import ExposureReport, _exposure
-from .ingest import AuditDataset, _csv_field, _csv_text, dataset_summary
+from .ingest import AuditDataset, _csv_field, _csv_text, _positive_integer, dataset_summary
 
 SCHEMA_VERSION = 5
 
@@ -46,14 +46,10 @@ SCHEMA_VERSION = 5
 def _histogram(exposures: np.ndarray, n: int, bins: int | None) -> dict:
     # Exposure can only fall between those of ranks n+1 and 1.
     lo, hi = _exposure(np.array([n + 1, 1]), n)
-    if bins is None:
-        width = 0.5
-        count = max(1, math.ceil((hi - lo) / width))
-        edges = lo + width * np.arange(count + 1)
-    elif isinstance(bins, bool) or not isinstance(bins, int) or bins < 1:
-        raise ValueError(f"histogram_bins must be a positive integer, got {bins!r}")
+    if bins is None:  # width-0.5 bins
+        edges = lo + 0.5 * np.arange(max(1, math.ceil(2.0 * (hi - lo))) + 1)
     else:
-        edges = np.linspace(lo, hi, bins + 1)
+        edges = np.linspace(lo, hi, _positive_integer(bins, "histogram_bins") + 1)
     counts, _ = np.histogram(exposures, bins=edges)
     return {
         "bin_edges": [float(e) for e in edges],

@@ -117,6 +117,10 @@ def test_clopper_pearson_roots_at_the_ends_of_the_unit_interval():
                              (14, 16, 1.2695482514058656e-227),
                              (0, 1, 4.545862977730304e-81)):
         assert clopper_pearson(k, trials, alpha, "upper") == 1.0, (k, trials, alpha)
+    # a lower root within rounding of p = 1: alpha^(1/trials) = 1 - 1e-18
+    alpha = 1.0 - 1e-12
+    assert alpha ** (1 / 10**6) == 1.0
+    assert clopper_pearson(10**6, 10**6, alpha, "lower") == 1.0
     # a normal-approximation start beyond p = 0
     alpha = 0.6725478637836166
     assert clopper_pearson(0, 4, alpha, "upper") == pytest.approx(
@@ -239,8 +243,10 @@ def test_group_privacy_adjust():
     assert group_privacy_adjust(2.0, 4) == 0.5
     assert group_privacy_adjust(1.0, 1) == 1.0
     assert group_privacy_adjust(0.0, 7) == 0.0
-    with pytest.raises(ValueError):
-        group_privacy_adjust(1.0, 0)
+    assert group_privacy_adjust(1.0, np.int64(2)) == 0.5
+    for bad in (0, True, 2.0):
+        with pytest.raises(ValueError, match="replications must be a positive integer"):
+            group_privacy_adjust(1.0, bad)
     with pytest.raises(ValueError):
         group_privacy_adjust(-1.0, 2)
 

@@ -147,6 +147,50 @@ def _interleavings(m, n):
         yield np.array([p - i + 1 for i, p in enumerate(positions)])
 
 
+def _statistic(exposures, q):
+    return exposures.mean() if q is None else exposure_quantile(exposures, q)
+
+
+@pytest.mark.parametrize("q", [None, 0.5, 0.75])
+def test_monte_carlo_moments_match_enumeration(q):
+    # the null weighs every interleaving equally, so its exact moments are
+    # the moments over all 84 placements of 3 canaries among 6 references
+    m, n, trials = 3, 6, 4000
+    every = np.array([_statistic(np.log2(n) - np.log2(ranks), q)
+                      for ranks in _interleavings(m, n)])
+    mean, std = every.mean(), every.std()
+    fourth = ((every - mean) ** 4).mean()
+    summary = monte_carlo_baseline(m, n, "mean" if q is None else "quantile", trials,
+                                   seed=31, q=q)
+    # standard errors of the sample mean and, by the delta method, the sample std
+    assert abs(summary.mc_mean - mean) <= 4 * std / math.sqrt(trials)
+    assert abs(summary.mc_std - std) <= 4 * math.sqrt((fourth - std**4) / trials) / (2 * std)
+
+
+def _permutation_null(m, n, trials, q, seed):
+    """The statistic over ``trials`` shuffles of m canary and n reference
+    slots; a canary's rank is 1 + the references shuffled before it."""
+    rng = np.random.default_rng(seed)
+    slots = np.arange(m + n) < m
+    stats = []
+    for _ in range(trials):
+        is_canary = rng.permutation(slots)
+        ranks = 1 + np.cumsum(~is_canary)[is_canary]
+        stats.append(_statistic(np.log2(n) - np.log2(ranks), q))
+    return np.array(stats)
+
+
+@pytest.mark.parametrize("q", [None, 0.5])
+def test_monte_carlo_std_matches_permutation_null(q):
+    # every canary is ranked against the same references, which moves the
+    # ranks together: at m = n independent ranks give about 0.7 of this std
+    m = n = 1000
+    summary = monte_carlo_baseline(m, n, "mean" if q is None else "quantile", 2000,
+                                   seed=8, q=q)
+    reference = _permutation_null(m, n, 4000, q, seed=9).std(ddof=1)
+    assert summary.mc_std == pytest.approx(reference, rel=0.05)
+
+
 @pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 4), (4, 2), (3, 6)])
 @pytest.mark.parametrize("q", [0.5, 0.75])
 def test_quantile_p_value_matches_enumeration(m, n, q):

@@ -299,7 +299,8 @@ def test_import_and_roc_leave_scipy_unloaded(tmp_path):
 
 def test_audit_leaves_scipy_unloaded(tmp_path):
     # bounds and p-values use the standard library: no output format, tie
-    # policy or operating point of an audit imports scipy
+    # policy or operating point of an audit imports scipy, and neither does
+    # the baseline of either statistic
     import numpy as np
 
     rng = np.random.default_rng(73)
@@ -315,10 +316,17 @@ def test_audit_leaves_scipy_unloaded(tmp_path):
             "                         '--fpr-target', '0.001', '--fpr-target', '1']) == 0\n"
             "        assert text.getvalue()\n"
             "        print(out, tie_policy,\n"
-            "              sorted(name for name in sys.modules if name.startswith('scipy')))\n")
+            "              sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+            "for statistic in ('mean', 'quantile=0.5'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+            "        assert main(['baseline', '--m', '30', '--n', '40',\n"
+            "                     '--statistic', statistic, '--trials', '20']) == 0\n"
+            "    assert 'monte carlo' in text.getvalue()\n"
+            "    print(statistic,\n"
+            "          sorted(name for name in sys.modules if name.startswith('scipy')))\n")
     assert _run_in_fresh_interpreter(code).splitlines() == [
         f"{out} {tie_policy} []" for out in ("json", "md", "csv")
-        for tie_policy in ("pessimistic", "optimistic")]
+        for tie_policy in ("pessimistic", "optimistic")] + ["mean []", "quantile=0.5 []"]
 
 
 def test_simulate_writes_loadable_file(tmp_path, capsys):

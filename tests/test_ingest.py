@@ -297,6 +297,30 @@ def test_bulk_reader_reads_plain_files():
 
 
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_bulk_reader_probes_later_blocks_for_ties(format):
+    # Distinct canaries come first and turn off reading distinct lines; the
+    # probe at block 8 finds the tied references and turns it back on.
+    rng = np.random.default_rng(7)
+    d = make_dataset(rng.normal(size=40), rng.integers(0, 4, size=600).astype(float))
+    text = serialize_dataset(d, format)
+    read_block = {"csv": "_csv_block", "jsonl": "_jsonl_block"}[format]
+    original, seen = getattr(ingest, read_block), []
+
+    def spy(block):
+        seen.append(block.count("\n") + 1)
+        return original(block)
+
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 256):
+        start = len("role,loss\n") if format == "csv" else 0
+        lines = [block.count("\n") + 1 for block in ingest._blocks(text, start)]
+        with mock.patch.object(ingest, read_block, spy):
+            bulk = ingest._read_bulk(text, format)
+    assert len(lines) > 9
+    assert _identical(bulk, _line_parse(text, format)) and _identical(bulk, d)
+    assert seen[:8] == lines[:8] and seen[8] < lines[8]
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
 def test_bulk_reader_reads_crlf_line_ends(format):
     d = make_dataset([1.5, -0.0, 2.25], [2.5, 1e-300])
     text = serialize_dataset(d, format).replace("\n", "\r\n")
@@ -322,13 +346,26 @@ def test_loss_record_invariants():
         AuditDataset(canary_losses=[1.0, float("nan")], reference_losses=[2.0])
     with pytest.raises(DatasetError, match="finite"):
         AuditDataset(canary_losses=[1.0], reference_losses=[float("-inf")])
-    for bad in (0, -1, True, 2.0):
-        with pytest.raises(DatasetError, match="replications"):
+    for bad in (0, -1, True, 2.0, np.float64(2.0)):
+        with pytest.raises(DatasetError, match="replications must be a positive integer"):
             AuditDataset(canary_losses=[1.0], reference_losses=[2.0], replications=bad)
     with pytest.raises(DatasetError, match="ids"):
         AuditDataset(canary_losses=[1.0, 2.0], reference_losses=[2.0], canary_ids=["a"])
     with pytest.raises(DatasetError, match="ids"):
         AuditDataset(canary_losses=[1.0], reference_losses=[2.0], reference_ids=["a", "b"])
+
+
+@pytest.mark.parametrize("reps", [np.int64(2), np.uint8(2)])
+def test_numpy_integer_replications_accepted(reps):
+    d = AuditDataset(canary_losses=[1.0], reference_losses=[2.0], replications=reps)
+    assert type(d.replications) is int and d.replications == 2
+    assert json.loads(json.dumps(dataset_summary(d)))["replications"] == 2
+
+
+def test_dataset_is_not_equal_to_other_types():
+    d = make_dataset([1.0], [2.0])
+    assert not d == (d.canary_losses, d.reference_losses)
+    assert d != "dataset"
 
 
 def test_ids_must_be_strings():
