@@ -34,7 +34,7 @@ from . import attack
 from .attack import MIResult
 from .baseline import LN2, _log_binomial_pmf, _log_tail
 from .exposure import ExposureReport, exposure_all
-from .ingest import AuditDataset, _positive_integer
+from .ingest import AuditDataset, _positive_integer, _unit_interval
 from .simulate import _ndtri
 
 INDEPENDENCE_NOTICE = (
@@ -96,10 +96,8 @@ def epsilon_point(tpr: float, fpr: float) -> float:
     ratio), -inf when tpr = 0 with fpr > 0, and 0 when both rates are
     zero. Negative values are reported as-is.
     """
-    if not 0.0 <= tpr <= 1.0:
-        raise ValueError(f"tpr must be in [0, 1], got {tpr}")
-    if not 0.0 <= fpr <= 1.0:
-        raise ValueError(f"fpr must be in [0, 1], got {fpr}")
+    _unit_interval(tpr, "tpr", closed=True)
+    _unit_interval(fpr, "fpr", closed=True)
     if fpr == 0.0:
         return math.inf if tpr > 0.0 else 0.0
     if tpr == 0.0:
@@ -174,12 +172,10 @@ def clopper_pearson(k: int, trials: int, alpha: float, side: str) -> float:
     relative for trials up to 1e6 and alpha from 1e-100 to 0.99 (the
     tests pin this; the worst case seen on their grid is 5e-11).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _positive_integer(trials, "trials")
     if not 0 <= k <= trials:
         raise ValueError(f"k must be in [0, trials], got k={k}, trials={trials}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _unit_interval(alpha, "alpha")
     if side == "lower":
         return 0.0 if k == 0 else _binomial_tail_root(k, trials, alpha, ge=True)
     if side == "upper":
@@ -194,8 +190,7 @@ def epsilon_confident(d: AuditDataset, mi: MIResult, confidence: float) -> Epsil
     Clopper-Pearson bound on TPR and an upper one on FPR; the certified
     bound is max(0, ln(tpr_lower / fpr_upper)).
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    _unit_interval(confidence, "confidence")
     alpha = 1.0 - confidence
     tpr_lower = clopper_pearson(mi.canary_hits, mi.m, alpha / 2.0, "lower")
     fpr_upper = clopper_pearson(mi.reference_hits, mi.n, alpha / 2.0, "upper")
@@ -219,7 +214,7 @@ def epsilon_confident(d: AuditDataset, mi: MIResult, confidence: float) -> Epsil
 def group_privacy_adjust(epsilon: float, replications: int) -> float:
     """Per-example epsilon when a canary was duplicated ``replications`` times."""
     replications = _positive_integer(replications, "replications")
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     return epsilon / replications
 
@@ -249,8 +244,7 @@ def audit_pipeline(
     divided by the replication count accompanies the raw one. Outcomes
     appear in request order.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    _unit_interval(confidence, "confidence")
     report = exposure_all(d, tie_policy)
     points = list(operating_points)  # labelled and evaluated: read it once
     outcomes = []

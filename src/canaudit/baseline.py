@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exposure import _exposure, exposure_quantile
+from .ingest import _positive_integer, _unit_interval
 
 LN2 = math.log(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -62,8 +63,7 @@ def expected_exposure_exact(n: int) -> float:
     Evaluates log2(n) - log2((n+1)!)/(n+1) through the log-gamma
     function, so it is O(1) and accurate to well below 1e-9 for any n.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _positive_integer(n, "n")
     return math.log2(n) - math.lgamma(n + 2) / ((n + 1) * LN2)
 
 
@@ -79,8 +79,7 @@ def baseline_quantile_exposure(q: float) -> float:
     ranked canaries, so the median baseline is 1 and the 0.75 quantile
     baseline is 2.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q}")
+    _unit_interval(q, "q")
     return -math.log2(1.0 - q)
 
 
@@ -102,8 +101,10 @@ def monte_carlo_baseline(
     or ``"quantile"`` with ``q``) of their exposures. Deterministic given
     ``seed``: trial t draws from child stream t of the seed.
     """
-    if m < 1 or n < 1 or trials < 1:
-        raise ValueError(f"m, n, trials must all be >= 1, got {(m, n, trials)}")
+    m, n = _positive_integer(m, "m"), _positive_integer(n, "n")
+    trials = _positive_integer(trials, "trials")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if statistic == "mean" and q is None:
         exact, asymptotic = expected_exposure_exact(n), expected_exposure_asymptote()
     elif statistic == "quantile" and q is not None:
@@ -147,8 +148,7 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
     the rest cannot change the double result, so the cost is O(sd) terms,
     not O(m + n); a p below the smallest float reads 0.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q}")
+    _unit_interval(q, "q")
     ranks = np.asarray(ranks)
     m = ranks.size
     if m < 1 or n < 1:

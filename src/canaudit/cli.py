@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on a dataset parse/validation problem, an
 unreadable input or an unwritable output (diagnostic on stderr), 2 on
-invalid flags.
+invalid flags. Every flag is checked before the input is read, by the
+library rule that owns it and with that rule's message.
 """
 
 from __future__ import annotations
@@ -15,22 +16,19 @@ from .attack import roc, roc_to_csv
 from .audit import audit_pipeline
 from .baseline import monte_carlo_baseline
 from .exposure import TIE_POLICIES
-from .ingest import DatasetError, parse_dataset, serialize_dataset
+from .ingest import (DatasetError, _positive_integer, _unit_interval, parse_dataset,
+                     serialize_dataset)
 from .report import build_report, render_csv, render_json, render_markdown
 from .simulate import GaussianShiftModel, simulate
 
 
-def _positive_int(parser: argparse.ArgumentParser, name: str, value: int) -> None:
-    if value < 1:
-        parser.error(f"{name} must be >= 1, got {value}")
-
-
-def _unit_interval(parser: argparse.ArgumentParser, name: str, value: float,
-                   open_ends: bool = True) -> None:
-    if open_ends and not 0.0 < value < 1.0:
-        parser.error(f"{name} must be in (0, 1), got {value}")
-    if not open_ends and not 0.0 <= value <= 1.0:
-        parser.error(f"{name} must be in [0, 1], got {value}")
+def _flag_checked(parser: argparse.ArgumentParser, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, its ValueError a flag error (exit 2). Only rule
+    checks and calls that validate before they compute go through here."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _load_dataset(args: argparse.Namespace):
@@ -53,17 +51,16 @@ def _parse_statistic(parser: argparse.ArgumentParser, token: str):
             q = float(token.split("=", 1)[1])
         except ValueError:
             parser.error(f"malformed quantile in --statistic {token!r}")
-        _unit_interval(parser, "quantile", q)
         return "quantile", q
     parser.error(f"--statistic must be 'mean' or 'quantile=Q', got {token!r}")
 
 
 def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _unit_interval(parser, "--confidence", args.confidence)
+    _flag_checked(parser, _unit_interval, args.confidence, "--confidence")
     for target in args.fpr_target:
-        _unit_interval(parser, "--fpr-target", target, open_ends=False)
+        _flag_checked(parser, _unit_interval, target, "--fpr-target", closed=True)
     if args.histogram_bins is not None:
-        _positive_int(parser, "--histogram-bins", args.histogram_bins)
+        _flag_checked(parser, _positive_integer, args.histogram_bins, "--histogram-bins")
     d = _load_dataset(args)
     result = audit_pipeline(d, ["median", *args.fpr_target], confidence=args.confidence,
                             tie_policy=args.tie_policy)
@@ -74,13 +71,9 @@ def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _positive_int(parser, "--m", args.m)
-    _positive_int(parser, "--n", args.n)
-    _positive_int(parser, "--trials", args.trials)
     statistic, q = _parse_statistic(parser, args.statistic)
-    if args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
-    summary = monte_carlo_baseline(args.m, args.n, statistic, args.trials, args.seed, q)
+    summary = _flag_checked(parser, monte_carlo_baseline, args.m, args.n, statistic,
+                            args.trials, args.seed, q)
     name = statistic if q is None else f"quantile {q:g}"
     print(f"random-guessing baseline for {name} exposure (m={args.m}, n={args.n})")
     if summary.exact_value is not None:
@@ -94,12 +87,8 @@ def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    try:
-        model = GaussianShiftModel(
-            mu=args.mu, sigma=args.sigma, m=args.m, n=args.n, seed=args.seed
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    model = _flag_checked(parser, GaussianShiftModel, mu=args.mu, sigma=args.sigma,
+                          m=args.m, n=args.n, seed=args.seed)
     d = simulate(model)
     _write(serialize_dataset(d, args.format), args.out_file)
     print(f"wrote {d.m} canaries and {d.n} references to {args.out_file}")

@@ -21,11 +21,11 @@ canary order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
-from .ingest import AuditDataset
+from .ingest import AuditDataset, _unit_interval
 
 TIE_POLICIES = ("pessimistic", "optimistic")
 
@@ -66,8 +66,10 @@ def rank(loss: float, reference_losses, tie_policy: str = "pessimistic") -> int:
 
     ``reference_losses`` must be sorted ascending. Pessimistic ranking
     counts references with loss <= the canary's; optimistic counts only
-    strictly smaller references.
+    strictly smaller references. A non-finite loss has no rank.
     """
+    if not isfinite(loss):
+        raise ValueError(f"loss must be finite, got {loss!r}")
     side = _searchsorted_side(tie_policy)
     refs = np.asarray(reference_losses, dtype=np.float64)
     if refs.size == 0:
@@ -88,8 +90,7 @@ def exposure_quantile(exposures, q: float) -> float:
     Always returns an actual element of ``exposures``; q = 0.5 gives the
     lower median.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q}")
+    _unit_interval(q, "q")
     values = np.asarray(exposures, dtype=np.float64)
     if values.size == 0:
         raise ValueError("exposures must be non-empty")
@@ -101,8 +102,7 @@ def exposure_all(d: AuditDataset, tie_policy: str = "pessimistic") -> ExposureRe
     """Rank and exposure of every canary in a dataset, with aggregates.
 
     References are sorted once and each canary is ranked by binary
-    search, so the whole report costs O((m+n) log n). Results are
-    deterministic and independent of any internal parallelism.
+    search, so the whole report costs O((m+n) log n).
     """
     side = _searchsorted_side(tie_policy)
     refs = d.sorted_reference_losses

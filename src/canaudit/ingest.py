@@ -64,6 +64,14 @@ def _positive_integer(value, name: str, error: type[ValueError] = ValueError) ->
     return int(value)
 
 
+def _unit_interval(value, name: str, closed: bool = False) -> None:
+    """Reject ``value`` unless it lies in (0, 1), or in [0, 1] if ``closed``."""
+    if closed and not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    if not closed and not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+
+
 def _normalize_id(rec_id: str | None) -> str | None:
     if rec_id is not None and not isinstance(rec_id, str):
         raise DatasetError(f"ids must be strings or None, got {rec_id!r}")

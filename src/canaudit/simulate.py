@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import AuditDataset
+from .ingest import AuditDataset, _positive_integer
 
 # Smallest uniform fed to the inverse normal CDF; keeps samples finite.
 _U_FLOOR = 2.0 ** -53
@@ -99,8 +99,8 @@ class GaussianShiftModel:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"m and n must be >= 1, got m={self.m}, n={self.n}")
+        _positive_integer(self.m, "m")
+        _positive_integer(self.n, "n")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

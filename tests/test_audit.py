@@ -247,8 +247,9 @@ def test_group_privacy_adjust():
     for bad in (0, True, 2.0):
         with pytest.raises(ValueError, match="replications must be a positive integer"):
             group_privacy_adjust(1.0, bad)
-    with pytest.raises(ValueError):
-        group_privacy_adjust(-1.0, 2)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            group_privacy_adjust(bad, 2)
 
 
 def test_pipeline_null_data_certifies_nothing():

@@ -45,6 +45,9 @@ def test_small_n_bias_is_visible():
 def test_exact_rejects_bad_n():
     with pytest.raises(ValueError):
         expected_exposure_exact(0)
+    for bad in (math.nan, 10.0, True):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            expected_exposure_exact(bad)
 
 
 def test_asymptote_value():

@@ -188,9 +188,10 @@ def test_audit_histogram_bins_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,message", [
     # the file is absent: flags are checked before it is read
-    (["audit", "absent.csv", "--histogram-bins", "0"], "--histogram-bins must be >= 1"),
+    (["audit", "absent.csv", "--histogram-bins", "0"],
+     "--histogram-bins must be a positive integer"),
     (["audit", "absent.csv", "--fpr-target", "1.5"], "--fpr-target must be in [0, 1]"),
-    (["baseline", "--m", "0", "--n", "3"], "--m must be >= 1"),
+    (["baseline", "--m", "0", "--n", "3"], "m must be a positive integer"),
     (["baseline", "--m", "3", "--n", "3", "--statistic", "quantile=x"],
      "malformed quantile in --statistic 'quantile=x'"),
 ])
@@ -200,6 +201,42 @@ def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
         main(command)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,message", [
+    # audit checks its flags under their own names; baseline reports the
+    # message of the monte_carlo_baseline rule that rejects the value
+    (["audit", "absent.csv", "--confidence", "1"], "--confidence must be in (0, 1), got 1.0"),
+    (["audit", "absent.csv", "--fpr-target", "-0.5"],
+     "--fpr-target must be in [0, 1], got -0.5"),
+    (["audit", "absent.csv", "--histogram-bins", "-2"],
+     "--histogram-bins must be a positive integer, got -2"),
+    (["baseline", "--m", "0", "--n", "3"], "m must be a positive integer, got 0"),
+    (["baseline", "--m", "3", "--n", "0"], "n must be a positive integer, got 0"),
+    (["baseline", "--m", "3", "--n", "3", "--trials", "0"],
+     "trials must be a positive integer, got 0"),
+    (["baseline", "--m", "3", "--n", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["baseline", "--m", "3", "--n", "3", "--statistic", "quantile=1.5"],
+     "q must be in (0, 1), got 1.5"),
+])
+def test_flag_rules_exit_two_with_the_library_message(tmp_path, monkeypatch, capsys,
+                                                       command, message):
+    monkeypatch.chdir(tmp_path)  # absent.csv is absent: exit 1 would mean it was read
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_render_value_error_is_not_a_flag_error(tmp_path, monkeypatch):
+    # UnicodeEncodeError is a ValueError, but it is no fault of the flags
+    def render(document):
+        raise UnicodeEncodeError("ascii", "\u03b5", 0, 1, "ordinal not in range(128)")
+
+    monkeypatch.setattr("canaudit.cli.render_markdown", render)
+    path = _write_dataset(tmp_path, make_dataset([0.5, 1.5], [1.0, 2.0]))
+    with pytest.raises(UnicodeEncodeError):
+        main(["audit", path, "--out", "md"])
 
 
 @pytest.mark.parametrize("command", [

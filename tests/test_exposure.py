@@ -29,6 +29,15 @@ def test_rank_rejects_empty_references():
         rank(1.0, [])
 
 
+@pytest.mark.parametrize("loss", [math.nan, math.inf, -math.inf])
+def test_rank_and_exposure_reject_non_finite_loss(loss):
+    # NaN sorts above every reference, so it would read as rank n+1
+    with pytest.raises(ValueError, match="loss must be finite"):
+        rank(loss, [1.0, 2.0])
+    with pytest.raises(ValueError, match="loss must be finite"):
+        exposure_of(loss, [1.0, 2.0])
+
+
 def test_rank_rejects_unknown_policy():
     with pytest.raises(ValueError, match="tie_policy"):
         rank(1.0, [1.0], "hopeful")

@@ -1,12 +1,16 @@
-"""False certification under the null, for every bound a report holds.
+"""False certification, for every bound a report holds.
 
 Canary and reference losses from one distribution carry no membership
 signal, so a sound 95% bound may certify eps > 0 in at most about 5% of
 such audits. This is checked for every operating point, replication
 count and tie policy the tool offers, row by row and for the family-wise
 event that any bound in one report is positive. Likewise each baseline
-row's p-value may be <= 0.05 in at most about 5% of them. Run with
-``pytest -s`` to see the measured rates.
+row's p-value may be <= 0.05 in at most about 5% of them.
+
+Laplace-shifted losses have a known eps > 0, and a sound bound may
+exceed it in at most about 5% of audits; a certificate read off the
+point estimate instead fails that check. Run with ``pytest -s`` to see
+the measured rates.
 """
 
 import math
@@ -19,7 +23,10 @@ from canaudit import (
     AuditDataset,
     GaussianShiftModel,
     audit_pipeline,
+    epsilon_confident,
     exposure_all,
+    group_privacy_adjust,
+    operating_points,
     simulate,
 )
 from canaudit.report import _baseline_rows
@@ -76,3 +83,43 @@ def test_null_p_value_rejection_rate(m, n, decimals):
     print(f"[null p-values, m={m}, n={n}, decimals={decimals}] {rates} (limit {LIMIT:.4f})")
     assert set(rates) == {0.5, 0.75}
     assert all(rate <= LIMIT for rate in rates.values()), rates
+
+
+def _laplace_audit(epsilon, replications, seed):
+    """Bounds-only audit of m = n = 1000 Laplace-shifted losses: the row names
+    and, per row, its certified bound, its point estimate floored at 0 and
+    its true epsilon (divided by the replications on per-example rows)."""
+    rng = np.random.default_rng(seed)
+    d = AuditDataset(rng.laplace(-epsilon, 1.0, 1000), rng.laplace(0.0, 1.0, 1000),
+                     replications=replications)
+    names, values = [], []
+    for point, mi in zip(OPERATING_POINTS, operating_points(d, OPERATING_POINTS)):
+        bound = epsilon_confident(d, mi, 0.95)
+        for k in sorted({1, replications}):
+            names.append(f"{point}" + " per-example" * (k > 1))
+            values.append([group_privacy_adjust(bound.confident_lower_bound, k),
+                           group_privacy_adjust(max(0.0, bound.point_estimate), k),
+                           epsilon / k])
+    return names, values
+
+
+@pytest.mark.parametrize("replications", [1, 3])
+@pytest.mark.parametrize("epsilon", [1.0, 2.0, 4.0])
+def test_known_epsilon_false_certification_rate(epsilon, replications):
+    # canaries ~ Laplace(-eps, 1) and references ~ Laplace(0, 1): the density
+    # ratio is at most e^eps, so no threshold attack beats tpr <= e^eps fpr
+    audits = [_laplace_audit(epsilon, replications, seed) for seed in range(SEEDS)]
+    names = [*audits[0][0], "any bound"]
+    values = np.array([row_values for _, row_values in audits])  # seed, row, column
+    over = values[..., :2] > values[..., 2:]  # bound, point estimate over the truth
+    rates = np.vstack([over.mean(axis=0), over.any(axis=1).mean(axis=0)])
+    ratios = np.median(values[..., 0] / values[..., 2], axis=0)
+    tag = f"[known eps {epsilon:g}, replications {replications}]"
+    for name, (bound_rate, point_rate) in zip(names, rates):
+        print(f"{tag} {name}: bound {bound_rate:.4f}, point estimate {point_rate:.4f} "
+              f"(limit {LIMIT:.4f})")
+    print(f"{tag} median certified/true: "
+          + ", ".join(f"{name} {ratio:.3f}" for name, ratio in zip(names, ratios)))
+    assert rates[:, 0].max() <= LIMIT, dict(zip(names, rates[:, 0]))
+    # the control: certifying the point estimate is unsound, and this check sees it
+    assert rates[:, 1].max() > LIMIT, dict(zip(names, rates[:, 1]))
