@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .exposure import exposure_quantile
-from .ingest import AuditDataset, _csv_text
+from .ingest import AuditDataset, _csv_text, _unit_interval
 
 
 class _Rates:
@@ -68,6 +68,14 @@ def _hits(sorted_losses: np.ndarray, threshold):
     return np.searchsorted(sorted_losses, threshold, side="left")
 
 
+def _attack(d: AuditDataset, thresholds) -> list[MIResult]:
+    """The attack at each threshold: the one evaluator, one search per role."""
+    canary_hits = _hits(d.sorted_canary_losses, thresholds)
+    reference_hits = _hits(d.sorted_reference_losses, thresholds)
+    return [MIResult(float(t), int(c), int(r), d.m, d.n)
+            for t, c, r in zip(thresholds, canary_hits, reference_hits)]
+
+
 def threshold_attack(d: AuditDataset, threshold: float) -> MIResult:
     """Classify every record with loss < threshold as a member.
 
@@ -77,9 +85,7 @@ def threshold_attack(d: AuditDataset, threshold: float) -> MIResult:
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
-    canary_hits = _hits(d.sorted_canary_losses, threshold)
-    reference_hits = _hits(d.sorted_reference_losses, threshold)
-    return MIResult(float(threshold), int(canary_hits), int(reference_hits), d.m, d.n)
+    return _attack(d, [float(threshold)])[0]
 
 
 def roc(d: AuditDataset) -> RocCurve:
@@ -106,15 +112,14 @@ def _threshold(canaries: np.ndarray, references: np.ndarray, point) -> float:
     """The threshold of one operating point (see ``operating_points``)."""
     if point == "median":
         return exposure_quantile(canaries, 0.5)
-    if not isinstance(point, numbers.Real) or isinstance(point, bool) \
-            or not 0.0 <= float(point) <= 1.0:
-        raise ValueError(
-            f"operating point must be 'median' or an fpr target in [0, 1], got {point!r}"
-        )
+    if not isinstance(point, numbers.Real) or isinstance(point, bool):
+        raise ValueError(f"operating point must be 'median' or an fpr target, got {point!r}")
+    target = float(point)
+    _unit_interval(target, "fpr target", closed=True)
     n = references.size
     # k: the most references a point may catch, i.e. the largest k with
     # k / n <= target, compared in float as fpr is.
-    k = bisect_right(range(n + 1), float(point), key=lambda j: j / n) - 1
+    k = bisect_right(range(n + 1), target, key=lambda j: j / n) - 1
     # That point catches the h canaries below references[k] (all m when
     # k = n). The first sweep point to do so is the next pooled loss above
     # canaries[h - 1], a reference, as canaries[h] >= references[k].
@@ -123,6 +128,13 @@ def _threshold(canaries: np.ndarray, references: np.ndarray, point) -> float:
         return -math.inf
     j = np.searchsorted(references, canaries[h - 1], side="right")
     return float(references[j]) if j < n else math.inf
+
+
+def _point_list(points) -> list:
+    """``points`` read once into a list; a bare point is not a sequence of them."""
+    if isinstance(points, (str, numbers.Number)):
+        raise ValueError(f"expected a sequence of operating points, got {points!r}")
+    return list(points)
 
 
 def operating_points(d: AuditDataset, points) -> list[MIResult]:
@@ -134,17 +146,15 @@ def operating_points(d: AuditDataset, points) -> list[MIResult]:
     point of ``roc(d)`` with the largest tpr at fpr <= target, the smaller
     fpr on ties, found by binary search. It carries the achieved fpr, and
     the classify-nothing endpoint (threshold -inf) always qualifies.
-    Anything else raises ``ValueError``. All thresholds are counted at
-    once, one search per role, so every result's counts are the attack's
-    at its own threshold. ``points`` is read once.
+    Anything else, a bare point instead of a sequence included, raises
+    ``ValueError``. All thresholds are counted at once, one search per
+    role, so every result's counts are the attack's at its own threshold.
+    ``points`` is read once.
     """
     canaries = d.sorted_canary_losses
     references = d.sorted_reference_losses
-    thresholds = [_threshold(canaries, references, point) for point in points]
-    canary_hits = _hits(canaries, thresholds)
-    reference_hits = _hits(references, thresholds)
-    return [MIResult(float(t), int(c), int(r), d.m, d.n)
-            for t, c, r in zip(thresholds, canary_hits, reference_hits)]
+    return _attack(d, [_threshold(canaries, references, point)
+                       for point in _point_list(points)])
 
 
 def _rate_cells(hits: np.ndarray, total: int):

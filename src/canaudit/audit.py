@@ -34,7 +34,7 @@ from . import attack
 from .attack import MIResult
 from .baseline import LN2, _log_binomial_pmf, _log_tail
 from .exposure import ExposureReport, exposure_all
-from .ingest import AuditDataset, _positive_integer, _unit_interval
+from .ingest import AuditDataset, _non_negative_integer, _positive_integer, _unit_interval
 from .simulate import _ndtri
 
 INDEPENDENCE_NOTICE = (
@@ -173,7 +173,8 @@ def clopper_pearson(k: int, trials: int, alpha: float, side: str) -> float:
     tests pin this; the worst case seen on their grid is 5e-11).
     """
     trials = _positive_integer(trials, "trials")
-    if not 0 <= k <= trials:
+    k = _non_negative_integer(k, "k")
+    if k > trials:
         raise ValueError(f"k must be in [0, trials], got k={k}, trials={trials}")
     _unit_interval(alpha, "alpha")
     if side == "lower":
@@ -246,7 +247,7 @@ def audit_pipeline(
     """
     _unit_interval(confidence, "confidence")
     report = exposure_all(d, tie_policy)
-    points = list(operating_points)  # labelled and evaluated: read it once
+    points = attack._point_list(operating_points)  # labelled and evaluated: read it once
     outcomes = []
     for op, mi in zip(points, attack.operating_points(d, points)):
         label, warning = "median", None

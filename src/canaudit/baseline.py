@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exposure import _exposure, exposure_quantile
-from .ingest import _positive_integer, _unit_interval
+from .ingest import _non_negative_integer, _positive_integer, _unit_interval
 
 LN2 = math.log(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -103,8 +103,7 @@ def monte_carlo_baseline(
     """
     m, n = _positive_integer(m, "m"), _positive_integer(n, "n")
     trials = _positive_integer(trials, "trials")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _non_negative_integer(seed, "seed")
     if statistic == "mean" and q is None:
         exact, asymptotic = expected_exposure_exact(n), expected_exposure_asymptote()
     elif statistic == "quantile" and q is not None:
@@ -149,10 +148,11 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
     not O(m + n); a p below the smallest float reads 0.
     """
     _unit_interval(q, "q")
+    n = _positive_integer(n, "n")
     ranks = np.asarray(ranks)
     m = ranks.size
-    if m < 1 or n < 1:
-        raise ValueError(f"ranks and n must be non-empty, got m={m}, n={n}")
+    if m < 1:
+        raise ValueError("ranks must be non-empty")
     k = m - math.ceil(q * m) + 1
     r = int(np.partition(ranks, k - 1)[k - 1])
     if not 1 <= r <= n + 1:

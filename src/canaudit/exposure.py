@@ -79,9 +79,8 @@ def rank(loss: float, reference_losses, tie_policy: str = "pessimistic") -> int:
 
 def exposure_of(loss: float, reference_losses, tie_policy: str = "pessimistic") -> float:
     """Exposure in bits of a loss against sorted reference losses."""
-    refs = np.asarray(reference_losses, dtype=np.float64)
-    r = rank(loss, refs, tie_policy)
-    return float(_exposure(r, refs.size))
+    r = rank(loss, reference_losses, tie_policy)
+    return float(_exposure(r, len(reference_losses)))
 
 
 def exposure_quantile(exposures, q: float) -> float:

@@ -18,6 +18,12 @@ parser, the single source of every diagnostic. The line parser is one
 record path: each format's generator checks its own syntax and yields raw
 records, and ``_dataset`` checks every field of one record before the
 next is read, so the first fault in the file is the one reported.
+
+Every shared input rule of the library lives here, once:
+``_positive_integer`` (counts), ``_non_negative_integer`` (seeds, hit
+counts) and ``_unit_interval`` (probabilities, confidences, fpr targets).
+Each raises ``ValueError`` with one message, and the CLI checks a flag by
+calling the same rule under the flag's name.
 """
 
 from __future__ import annotations
@@ -57,11 +63,20 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _positive_integer(value, name: str, error: type[ValueError] = ValueError) -> int:
-    """``value`` as an int, if it is an integer of any type but bool and >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise error(f"{name} must be a positive integer, got {value!r}")
+def _integer(value, name: str, least: int, error: type[ValueError]) -> int:
+    """``value`` as an int, if it is an integer of any type but bool and >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        sign = "positive" if least else "non-negative"
+        raise error(f"{name} must be a {sign} integer, got {value!r}")
     return int(value)
+
+
+def _positive_integer(value, name: str, error: type[ValueError] = ValueError) -> int:
+    return _integer(value, name, 1, error)
+
+
+def _non_negative_integer(value, name: str) -> int:
+    return _integer(value, name, 0, ValueError)
 
 
 def _unit_interval(value, name: str, closed: bool = False) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import AuditDataset, _positive_integer
+from .ingest import AuditDataset, _non_negative_integer, _positive_integer
 
 # Smallest uniform fed to the inverse normal CDF; keeps samples finite.
 _U_FLOOR = 2.0 ** -53
@@ -101,8 +101,7 @@ class GaussianShiftModel:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         _positive_integer(self.m, "m")
         _positive_integer(self.n, "n")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _non_negative_integer(self.seed, "seed")
 
 
 def _normal_samples(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -215,7 +215,8 @@ def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
     (["baseline", "--m", "3", "--n", "0"], "n must be a positive integer, got 0"),
     (["baseline", "--m", "3", "--n", "3", "--trials", "0"],
      "trials must be a positive integer, got 0"),
-    (["baseline", "--m", "3", "--n", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["baseline", "--m", "3", "--n", "3", "--seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
     (["baseline", "--m", "3", "--n", "3", "--statistic", "quantile=1.5"],
      "q must be in (0, 1), got 1.5"),
 ])
