@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .exposure import exposure_quantile
-from .ingest import AuditDataset, _csv_text, _unit_interval
+from .ingest import AuditDataset, _csv_text, _real, _sequence, _unit_interval
 
 
 class _Rates:
@@ -83,9 +83,7 @@ def threshold_attack(d: AuditDataset, threshold: float) -> MIResult:
     TPR; duplication enters only through the group-privacy adjustment of
     the final epsilon bound.
     """
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
-    return _attack(d, [float(threshold)])[0]
+    return _attack(d, [_real(threshold, "threshold", finite=True)])[0]
 
 
 def roc(d: AuditDataset) -> RocCurve:
@@ -130,13 +128,6 @@ def _threshold(canaries: np.ndarray, references: np.ndarray, point) -> float:
     return float(references[j]) if j < n else math.inf
 
 
-def _point_list(points) -> list:
-    """``points`` read once into a list; a bare point is not a sequence of them."""
-    if isinstance(points, (str, numbers.Number)):
-        raise ValueError(f"expected a sequence of operating points, got {points!r}")
-    return list(points)
-
-
 def operating_points(d: AuditDataset, points) -> list[MIResult]:
     """The attack at each operating point in ``points``, in request order.
 
@@ -154,7 +145,7 @@ def operating_points(d: AuditDataset, points) -> list[MIResult]:
     canaries = d.sorted_canary_losses
     references = d.sorted_reference_losses
     return _attack(d, [_threshold(canaries, references, point)
-                       for point in _point_list(points)])
+                       for point in _sequence(points, "operating points")])
 
 
 def _rate_cells(hits: np.ndarray, total: int):

@@ -34,7 +34,8 @@ from . import attack
 from .attack import MIResult
 from .baseline import LN2, _log_binomial_pmf, _log_tail
 from .exposure import ExposureReport, exposure_all
-from .ingest import AuditDataset, _non_negative_integer, _positive_integer, _unit_interval
+from .ingest import (AuditDataset, _non_negative_integer, _positive_integer, _real, _sequence,
+                     _unit_interval)
 from .simulate import _ndtri
 
 INDEPENDENCE_NOTICE = (
@@ -111,9 +112,7 @@ def epsilon_from_median_exposure(exposure_median: float) -> float:
     A median exposure of 1 (the random-guessing baseline) maps to zero.
     It depends on the tie policy, so no bound uses it.
     """
-    if not math.isfinite(exposure_median):
-        raise ValueError(f"exposure_median must be finite, got {exposure_median!r}")
-    return LN2 * (exposure_median - 1.0)
+    return LN2 * (_real(exposure_median, "exposure_median", finite=True) - 1.0)
 
 
 def _binomial_tail_root(k: int, trials: int, alpha: float, ge: bool) -> float:
@@ -215,7 +214,7 @@ def epsilon_confident(d: AuditDataset, mi: MIResult, confidence: float) -> Epsil
 def group_privacy_adjust(epsilon: float, replications: int) -> float:
     """Per-example epsilon when a canary was duplicated ``replications`` times."""
     replications = _positive_integer(replications, "replications")
-    if not epsilon >= 0.0:
+    if not _real(epsilon, "epsilon") >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     return epsilon / replications
 
@@ -247,7 +246,7 @@ def audit_pipeline(
     """
     _unit_interval(confidence, "confidence")
     report = exposure_all(d, tie_policy)
-    points = attack._point_list(operating_points)  # labelled and evaluated: read it once
+    points = _sequence(operating_points, "operating points")  # labelled and evaluated: read once
     outcomes = []
     for op, mi in zip(points, attack.operating_points(d, points)):
         label, warning = "median", None

@@ -153,6 +153,8 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
     m = ranks.size
     if m < 1:
         raise ValueError("ranks must be non-empty")
+    if ranks.dtype.kind not in "iu":
+        raise ValueError(f"ranks must be integers, got dtype {ranks.dtype}")
     k = m - math.ceil(q * m) + 1
     r = int(np.partition(ranks, k - 1)[k - 1])
     if not 1 <= r <= n + 1:

@@ -21,11 +21,11 @@ canary order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, isfinite
+from math import ceil
 
 import numpy as np
 
-from .ingest import AuditDataset, _unit_interval
+from .ingest import AuditDataset, _real, _unit_interval
 
 TIE_POLICIES = ("pessimistic", "optimistic")
 
@@ -68,8 +68,7 @@ def rank(loss: float, reference_losses, tie_policy: str = "pessimistic") -> int:
     counts references with loss <= the canary's; optimistic counts only
     strictly smaller references. A non-finite loss has no rank.
     """
-    if not isfinite(loss):
-        raise ValueError(f"loss must be finite, got {loss!r}")
+    loss = _real(loss, "loss", finite=True)
     side = _searchsorted_side(tie_policy)
     refs = np.asarray(reference_losses, dtype=np.float64)
     if refs.size == 0:

@@ -21,7 +21,8 @@ next is read, so the first fault in the file is the one reported.
 
 Every shared input rule of the library lives here, once:
 ``_positive_integer`` (counts), ``_non_negative_integer`` (seeds, hit
-counts) and ``_unit_interval`` (probabilities, confidences, fpr targets).
+counts), ``_real`` (thresholds, losses, parameters), ``_unit_interval``
+(probabilities, confidences, fpr targets) and ``_sequence`` (points, ids).
 Each raises ``ValueError`` with one message, and the CLI checks a flag by
 calling the same rule under the flag's name.
 """
@@ -79,12 +80,27 @@ def _non_negative_integer(value, name: str) -> int:
     return _integer(value, name, 0, ValueError)
 
 
+def _real(value, name: str, finite: bool = False) -> float:
+    """``value`` as a float: a real number of any type but bool, finite if ``finite``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def _unit_interval(value, name: str, closed: bool = False) -> None:
-    """Reject ``value`` unless it lies in (0, 1), or in [0, 1] if ``closed``."""
-    if closed and not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    if not closed and not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {value}")
+    """Reject ``value`` unless it is a real number in (0, 1), or in [0, 1] if ``closed``."""
+    _real(value, name)
+    if not (0.0 <= value <= 1.0 if closed else 0.0 < value < 1.0):
+        raise ValueError(f"{name} must be in {'[0, 1]' if closed else '(0, 1)'}, got {value}")
+
+
+def _sequence(value, what: str, error: type[ValueError] = ValueError) -> list:
+    """``value`` read once into a list; a bare string, bytes or number is not a sequence."""
+    if isinstance(value, (str, bytes, numbers.Number)):
+        raise error(f"expected a sequence of {what}, got {value!r}")
+    return list(value)
 
 
 def _normalize_id(rec_id: str | None) -> str | None:
@@ -102,7 +118,8 @@ class AuditDataset:
     string with surrounding whitespace removed, and an empty one is None
     (no id), whichever format it came from. A role's ids are None when no
     example of that role has one. All canaries share one replication
-    count: one experiment audits one duplication level.
+    count: one experiment audits one duplication level. Losses of a
+    dtype other than integer, float or object are rejected.
     """
 
     canary_losses: np.ndarray
@@ -113,7 +130,10 @@ class AuditDataset:
 
     def __post_init__(self):
         for role, count in (("canary", "m"), ("reference", "n")):
-            losses = np.array(getattr(self, f"{role}_losses"), dtype=np.float64)
+            losses = np.asarray(getattr(self, f"{role}_losses"))
+            if losses.dtype.kind not in "iufO":
+                raise DatasetError(f"{role} losses must be real numbers, got dtype {losses.dtype}")
+            losses = np.array(losses, dtype=np.float64)
             if losses.ndim != 1:
                 raise DatasetError(f"{role} losses must be 1-D, got shape {losses.shape}")
             if losses.size == 0:
@@ -122,7 +142,7 @@ class AuditDataset:
                 raise DatasetError(f"{role} losses must be finite")
             ids = getattr(self, f"{role}_ids")
             if ids is not None:
-                ids = tuple(map(_normalize_id, ids))
+                ids = tuple(map(_normalize_id, _sequence(ids, f"{role} ids", DatasetError)))
                 if len(ids) != losses.size:
                     raise DatasetError(f"{role} ids: got {len(ids)} for {losses.size} losses")
                 if all(rec_id is None for rec_id in ids):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import AuditDataset, _non_negative_integer, _positive_integer
+from .ingest import AuditDataset, _non_negative_integer, _positive_integer, _real
 
 # Smallest uniform fed to the inverse normal CDF; keeps samples finite.
 _U_FLOOR = 2.0 ** -53
@@ -95,9 +95,9 @@ class GaussianShiftModel:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 <= self.mu < math.inf:
+        if not 0.0 <= _real(self.mu, "mu") < math.inf:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if not 0.0 < self.sigma < math.inf:
+        if not 0.0 < _real(self.sigma, "sigma") < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         _positive_integer(self.m, "m")
         _positive_integer(self.n, "n")

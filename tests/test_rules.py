@@ -3,10 +3,15 @@ the value enters the library."""
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
-from canaudit import (GaussianShiftModel, audit_pipeline, clopper_pearson, monte_carlo_baseline,
-                      operating_points, quantile_p_value)
+from canaudit import (AuditDataset, GaussianShiftModel, audit_pipeline, clopper_pearson,
+                      epsilon_from_median_exposure, epsilon_point, exposure_quantile,
+                      group_privacy_adjust, monte_carlo_baseline, operating_points,
+                      quantile_p_value, rank, threshold_attack)
 from conftest import make_dataset
 
 _D = make_dataset([1.0, 2.0], [1.5, 3.0])
@@ -49,9 +54,63 @@ def _point_cases():
                            id=f"{name}-fpr-target=1.5")
 
 
+def _real_cases():
+    """A string or bool where a real number belongs fails the real-number rule,
+    inside a range rule too; an fpr target keeps the operating-point wording."""
+    entries = {"confidence": (lambda v: audit_pipeline(_D, confidence=v), "0.9"),
+               "q": (lambda v: exposure_quantile([1.0, 2.0], v), "0.9"),
+               "alpha": (lambda v: clopper_pearson(1, 10, v, "lower"), "0.9"),
+               "tpr": (lambda v: epsilon_point(v, 0.5), "0.9"),
+               "threshold": (lambda v: threshold_attack(_D, v), "1.0")}
+    for name, (entry, text) in entries.items():
+        for value in (text, True):
+            yield pytest.param(entry, value, f"{name} must be a real number, got {value!r}",
+                               id=f"{name}={value!r}")
+    for value in ("0.9", True):
+        yield pytest.param(lambda v: operating_points(_D, [v]), value,
+                           f"operating point must be 'median' or an fpr target, got {value!r}",
+                           id=f"fpr-target={value!r}")
+    yield pytest.param(lambda v: rank(v, [1.0, 2.0]), "1.0",
+                       "loss must be a real number, got '1.0'", id="rank-loss='1.0'")
+    entries = {"mu": lambda v: GaussianShiftModel(mu=v, sigma=1.0, m=3, n=3, seed=0),
+               "sigma": lambda v: GaussianShiftModel(mu=1.0, sigma=v, m=3, n=3, seed=0),
+               "exposure_median": epsilon_from_median_exposure,
+               "epsilon": lambda v: group_privacy_adjust(v, 2)}
+    for name, entry in entries.items():
+        yield pytest.param(entry, True, f"{name} must be a real number, got True",
+                           id=f"{name}=True")
+
+
+def _column_cases():
+    def with_ids(ids):
+        return AuditDataset([1.0, 2.0, 3.0], [1.0], canary_ids=ids)
+    for ids in ("abc", 5):
+        yield pytest.param(with_ids, ids, f"expected a sequence of canary ids, got {ids!r}",
+                           id=f"canary_ids={ids!r}")
+    yield pytest.param(lambda r: quantile_p_value(r, 10, 0.5), [1.5, 2.5],
+                       "ranks must be integers, got dtype float64", id="ranks=[1.5, 2.5]")
+    for losses, dtype in (([True, False], "bool"), (np.array(["1.5"]), "<U3"),
+                          (np.array(["2020-01-01"], dtype="datetime64[D]"), "datetime64[D]")):
+        yield pytest.param(lambda c: AuditDataset(c, [1.0]), losses,
+                           f"canary losses must be real numbers, got dtype {dtype}",
+                           id=f"canary-losses-{dtype}")
+
+
 @pytest.mark.parametrize("entry,value,message",
-                         [*_seed_cases(), *_k_cases(), *_n_cases(), *_point_cases()])
+                         [*_seed_cases(), *_k_cases(), *_n_cases(), *_point_cases(),
+                          *_real_cases(), *_column_cases()])
 def test_input_rule_rejects_with_its_one_message(entry, value, message):
     with pytest.raises(ValueError) as exc:
         entry(value)
     assert str(exc.value) == message
+
+
+def test_input_rules_accept_numpy_scalars_and_arrays():
+    assert threshold_attack(_D, np.float32(1.5)) == threshold_attack(_D, 1.5)
+    assert audit_pipeline(_D, confidence=np.float64(0.9)).confidence == 0.9
+    assert quantile_p_value(np.array([1, 3], dtype=np.int64), 10, 0.5) \
+        == quantile_p_value([1, 3], 10, 0.5)
+    d = AuditDataset([1.0, 2.0], [1.0], canary_ids=np.array(["a", "b"]))
+    assert d.canary_ids == ("a", "b")
+    assert group_privacy_adjust(math.inf, 2) == math.inf
+    assert AuditDataset([10**30], [1.0]).canary_losses.tolist() == [1e30]
