@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exposure import _exposure, exposure_quantile
-from .ingest import _non_negative_integer, _positive_integer, _unit_interval
+from .ingest import _column, _non_negative_integer, _positive_integer, _unit_interval
 
 LN2 = math.log(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -149,16 +149,12 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
     """
     _unit_interval(q, "q")
     n = _positive_integer(n, "n")
-    ranks = np.asarray(ranks)
+    ranks = _column(ranks, "ranks", integer=True)
     m = ranks.size
-    if m < 1:
-        raise ValueError("ranks must be non-empty")
-    if ranks.dtype.kind not in "iu":
-        raise ValueError(f"ranks must be integers, got dtype {ranks.dtype}")
+    if not 1 <= ranks.min() <= ranks.max() <= n + 1:
+        raise ValueError(f"ranks must lie in [1, n+1], got {ranks.min()} to {ranks.max()}, n={n}")
     k = m - math.ceil(q * m) + 1
     r = int(np.partition(ranks, k - 1)[k - 1])
-    if not 1 <= r <= n + 1:
-        raise ValueError(f"ranks must lie in [1, n+1], got {r} with n={n}")
     draws = k + r - 1
     if draws == m + n:  # every canary is drawn
         return 1.0

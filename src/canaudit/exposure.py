@@ -25,7 +25,7 @@ from math import ceil
 
 import numpy as np
 
-from .ingest import AuditDataset, _real, _unit_interval
+from .ingest import AuditDataset, _column, _real, _unit_interval
 
 TIE_POLICIES = ("pessimistic", "optimistic")
 
@@ -70,16 +70,12 @@ def rank(loss: float, reference_losses, tie_policy: str = "pessimistic") -> int:
     """
     loss = _real(loss, "loss", finite=True)
     side = _searchsorted_side(tie_policy)
-    refs = np.asarray(reference_losses, dtype=np.float64)
-    if refs.size == 0:
-        raise ValueError("reference_losses must be non-empty")
-    return int(np.searchsorted(refs, loss, side=side)) + 1
+    return int(np.searchsorted(_column(reference_losses, "reference_losses"), loss, side=side)) + 1
 
 
 def exposure_of(loss: float, reference_losses, tie_policy: str = "pessimistic") -> float:
     """Exposure in bits of a loss against sorted reference losses."""
-    r = rank(loss, reference_losses, tie_policy)
-    return float(_exposure(r, len(reference_losses)))
+    return float(_exposure(rank(loss, reference_losses, tie_policy), len(reference_losses)))
 
 
 def exposure_quantile(exposures, q: float) -> float:
@@ -89,9 +85,7 @@ def exposure_quantile(exposures, q: float) -> float:
     lower median.
     """
     _unit_interval(q, "q")
-    values = np.asarray(exposures, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("exposures must be non-empty")
+    values = _column(exposures, "exposures")
     k = ceil(q * values.size) - 1
     return float(np.partition(values, k)[k])
 

@@ -22,9 +22,9 @@ next is read, so the first fault in the file is the one reported.
 Every shared input rule of the library lives here, once:
 ``_positive_integer`` (counts), ``_non_negative_integer`` (seeds, hit
 counts), ``_real`` (thresholds, losses, parameters), ``_unit_interval``
-(probabilities, confidences, fpr targets) and ``_sequence`` (points, ids).
-Each raises ``ValueError`` with one message, and the CLI checks a flag by
-calling the same rule under the flag's name.
+(probabilities, confidences, fpr targets), ``_sequence`` (points, ids)
+and ``_column`` (arrays). Each raises ``ValueError`` with one message,
+and the CLI checks a flag by calling the same rule under the flag's name.
 """
 
 from __future__ import annotations
@@ -80,12 +80,12 @@ def _non_negative_integer(value, name: str) -> int:
     return _integer(value, name, 0, ValueError)
 
 
-def _real(value, name: str, finite: bool = False) -> float:
+def _real(value, name: str, finite: bool = False, error: type[ValueError] = ValueError) -> float:
     """``value`` as a float: a real number of any type but bool, finite if ``finite``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {value!r}")
     if finite and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
@@ -103,6 +103,25 @@ def _sequence(value, what: str, error: type[ValueError] = ValueError) -> list:
     return list(value)
 
 
+def _column(values, name: str, error: type[ValueError] = ValueError, integer: bool = False,
+            empty: str | None = None) -> np.ndarray:
+    """``values`` as a non-empty 1-D array: integers if ``integer``, else finite float64."""
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise error(f"{name} must be 1-D, got shape {array.shape}")
+    if array.size == 0:
+        raise error(empty or f"{name} must be non-empty")
+    what, kinds = ("integers", "iu") if integer else ("real numbers", "iufO")
+    if array.dtype.kind not in kinds:
+        raise error(f"{name} must be {what}, got dtype {array.dtype}")
+    for value in array if array.dtype.kind == "O" else ():
+        _real(value, f"an element of {name}", error=error)
+    array = array if integer else array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise error(f"{name} must be finite")
+    return array
+
+
 def _normalize_id(rec_id: str | None) -> str | None:
     if rec_id is not None and not isinstance(rec_id, str):
         raise DatasetError(f"ids must be strings or None, got {rec_id!r}")
@@ -118,8 +137,7 @@ class AuditDataset:
     string with surrounding whitespace removed, and an empty one is None
     (no id), whichever format it came from. A role's ids are None when no
     example of that role has one. All canaries share one replication
-    count: one experiment audits one duplication level. Losses of a
-    dtype other than integer, float or object are rejected.
+    count: one experiment audits one duplication level. ``_column`` checks losses.
     """
 
     canary_losses: np.ndarray
@@ -130,16 +148,8 @@ class AuditDataset:
 
     def __post_init__(self):
         for role, count in (("canary", "m"), ("reference", "n")):
-            losses = np.asarray(getattr(self, f"{role}_losses"))
-            if losses.dtype.kind not in "iufO":
-                raise DatasetError(f"{role} losses must be real numbers, got dtype {losses.dtype}")
-            losses = np.array(losses, dtype=np.float64)
-            if losses.ndim != 1:
-                raise DatasetError(f"{role} losses must be 1-D, got shape {losses.shape}")
-            if losses.size == 0:
-                raise DatasetError(f"dataset has no {role} records ({count} >= 1 required)")
-            if not np.isfinite(losses).all():
-                raise DatasetError(f"{role} losses must be finite")
+            losses = _column(getattr(self, f"{role}_losses"), f"{role} losses", DatasetError,
+                             empty=f"dataset has no {role} records ({count} >= 1 required)")
             ids = getattr(self, f"{role}_ids")
             if ids is not None:
                 ids = tuple(map(_normalize_id, _sequence(ids, f"{role} ids", DatasetError)))
@@ -147,7 +157,7 @@ class AuditDataset:
                     raise DatasetError(f"{role} ids: got {len(ids)} for {losses.size} losses")
                 if all(rec_id is None for rec_id in ids):
                     ids = None
-            object.__setattr__(self, f"{role}_losses", _read_only(losses))
+            object.__setattr__(self, f"{role}_losses", _read_only(np.array(losses)))
             object.__setattr__(self, f"{role}_ids", ids)
         object.__setattr__(self, "replications",
                            _positive_integer(self.replications, "replications", DatasetError))

@@ -3,16 +3,21 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from canaudit import (
     TIE_POLICIES,
     AuditDataset,
+    DatasetError,
     audit_pipeline,
     epsilon_confident,
     exposure_all,
+    exposure_quantile,
     parse_dataset,
     quantile_p_value,
+    rank,
     serialize_dataset,
     threshold_attack,
 )
@@ -135,3 +140,41 @@ def test_csv_matches_csv_writer_byte_for_byte(d):
     # "\r", so the filter is needed only for the CSV.
     assert serialize_dataset(d, "csv") == csv_writer_serialize(d)
     assert serialize_dataset(d, "jsonl") == json_dumps_serialize(d)
+
+
+# Each entry that takes an array, the error its column rule raises, and the
+# dtype of the 1-D array it must treat any accepted column like.
+COLUMN_ENTRIES = {
+    "AuditDataset": (lambda c: AuditDataset(c, [1.0]).canary_losses, DatasetError, np.float64),
+    "rank": (lambda refs: rank(0.5, refs), ValueError, np.float64),
+    "exposure_quantile": (lambda e: exposure_quantile(e, 0.5), ValueError, np.float64),
+    "quantile_p_value": (lambda r: quantile_p_value(r, 6, 0.5), ValueError, np.int64),
+}
+column_shapes = st.one_of(hnp.array_shapes(max_dims=1, max_side=6),
+                          hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+any_column = st.one_of(
+    hnp.arrays(st.one_of(hnp.boolean_dtypes(), hnp.integer_dtypes(),
+                         hnp.unsigned_integer_dtypes(), hnp.floating_dtypes(),
+                         hnp.complex_number_dtypes(), hnp.unicode_string_dtypes(),
+                         hnp.datetime64_dtypes()), column_shapes),
+    hnp.arrays(st.one_of(hnp.integer_dtypes(), hnp.unsigned_integer_dtypes(),
+                         hnp.floating_dtypes()), column_shapes, elements=st.integers(0, 7)),
+    hnp.arrays(object, column_shapes,
+               elements=st.one_of(st.floats(), st.integers(-2 ** 100, 2 ** 100),
+                                  st.booleans(), st.text(max_size=3), st.none())),
+)
+
+
+@pytest.mark.parametrize("entry", sorted(COLUMN_ENTRIES))
+@given(values=any_column)
+@example(values=np.array([10**30]))
+@example(values=np.array([3, 1, 5], dtype=np.uint8))
+def test_array_entries_take_a_column_or_reject_it_by_the_rule(entry, values):
+    call, error, dtype = COLUMN_ENTRIES[entry]
+    try:
+        got = call(values)
+    except ValueError as exc:
+        assert type(exc) is error, exc
+        return
+    assert values.ndim == 1
+    assert np.array_equal(got, call(values.astype(dtype)))

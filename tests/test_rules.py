@@ -94,6 +94,25 @@ def _column_cases():
         yield pytest.param(lambda c: AuditDataset(c, [1.0]), losses,
                            f"canary losses must be real numbers, got dtype {dtype}",
                            id=f"canary-losses-{dtype}")
+    # text inside an object array is not parsed
+    yield pytest.param(lambda c: AuditDataset(c, [1.0]), np.array(["1.5", 2], dtype=object),
+                       "an element of canary losses must be a real number, got '1.5'",
+                       id="canary-losses-object-text")
+    yield pytest.param(lambda r: rank(1.0, r), ["0.5", "2.0"],
+                       "reference_losses must be real numbers, got dtype <U3",
+                       id="rank-reference_losses-text")
+    for exposures, message, case in (
+            (["1", "2", True], "exposures must be real numbers, got dtype <U5", "text"),
+            (3.0, "exposures must be 1-D, got shape ()", "scalar"),
+            (np.ones((2, 3)), "exposures must be 1-D, got shape (2, 3)", "2-D"),
+            ([1.0, math.nan, 0.5], "exposures must be finite", "nan")):
+        yield pytest.param(lambda e: exposure_quantile(e, 0.5), exposures, message,
+                           id=f"exposures-{case}")
+    for ranks, message, case in (
+            (np.array([[1, 2], [3, 4]]), "ranks must be 1-D, got shape (2, 2)", "2-D"),
+            ([0, 5, 7], "ranks must lie in [1, n+1], got 0 to 7, n=5", "outside-[1, n+1]")):
+        yield pytest.param(lambda r: quantile_p_value(r, 5, 0.5), ranks, message,
+                           id=f"ranks-{case}")
 
 
 @pytest.mark.parametrize("entry,value,message",

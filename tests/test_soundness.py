@@ -13,6 +13,7 @@ point estimate instead fails that check. Run with ``pytest -s`` to see
 the measured rates.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -85,21 +86,27 @@ def test_null_p_value_rejection_rate(m, n, decimals):
     assert all(rate <= LIMIT for rate in rates.values()), rates
 
 
+@functools.cache
+def _laplace_bounds(epsilon, seed):
+    """Per operating point, the certified bound and the point estimate of m = n
+    = 1000 Laplace-shifted losses. Neither depends on the replication count,
+    so both replication cases share them."""
+    rng = np.random.default_rng(seed)
+    d = AuditDataset(rng.laplace(-epsilon, 1.0, 1000), rng.laplace(0.0, 1.0, 1000))
+    bounds = (epsilon_confident(d, mi, 0.95) for mi in operating_points(d, OPERATING_POINTS))
+    return [(bound.confident_lower_bound, bound.point_estimate) for bound in bounds]
+
+
 def _laplace_audit(epsilon, replications, seed):
     """Bounds-only audit of m = n = 1000 Laplace-shifted losses: the row names
     and, per row, its certified bound, its point estimate floored at 0 and
     its true epsilon (divided by the replications on per-example rows)."""
-    rng = np.random.default_rng(seed)
-    d = AuditDataset(rng.laplace(-epsilon, 1.0, 1000), rng.laplace(0.0, 1.0, 1000),
-                     replications=replications)
     names, values = [], []
-    for point, mi in zip(OPERATING_POINTS, operating_points(d, OPERATING_POINTS)):
-        bound = epsilon_confident(d, mi, 0.95)
+    for point, (bound, estimate) in zip(OPERATING_POINTS, _laplace_bounds(epsilon, seed)):
         for k in sorted({1, replications}):
             names.append(f"{point}" + " per-example" * (k > 1))
-            values.append([group_privacy_adjust(bound.confident_lower_bound, k),
-                           group_privacy_adjust(max(0.0, bound.point_estimate), k),
-                           epsilon / k])
+            values.append([group_privacy_adjust(bound, k),
+                           group_privacy_adjust(max(0.0, estimate), k), epsilon / k])
     return names, values
 
 
