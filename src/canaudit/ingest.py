@@ -84,9 +84,13 @@ def _real(value, name: str, finite: bool = False, error: type[ValueError] = Valu
     """``value`` as a float: a real number of any type but bool, finite if ``finite``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
-    if finite and not math.isfinite(value):
+    try:
+        real = float(value)
+    except OverflowError:  # beyond the doubles; a huge int's repr can exceed the digit limit
+        raise error(f"{name} must be within the float range") from None
+    if finite and not math.isfinite(real):
         raise error(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return real
 
 
 def _unit_interval(value, name: str, closed: bool = False) -> None:
@@ -106,7 +110,10 @@ def _sequence(value, what: str, error: type[ValueError] = ValueError) -> list:
 def _column(values, name: str, error: type[ValueError] = ValueError, integer: bool = False,
             empty: str | None = None) -> np.ndarray:
     """``values`` as a non-empty 1-D array: integers if ``integer``, else finite float64."""
-    array = np.asarray(values)
+    try:
+        array = np.asarray(values)
+    except ValueError:  # nested sequences of unequal lengths have no shape
+        raise error(f"{name} must be 1-D, got a ragged sequence") from None
     if array.ndim != 1:
         raise error(f"{name} must be 1-D, got shape {array.shape}")
     if array.size == 0:

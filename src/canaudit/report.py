@@ -3,10 +3,10 @@
 The JSON document is the single source of truth; the Markdown rendering
 formats values straight out of the document (via ``json.dumps`` per
 value), so every number in the Markdown appears verbatim in the JSON and
-nothing is ever computed twice. The one exception is each canary's
-empirical FPR, exactly (rank - 1)/n, which the JSON leaves out and the
-Markdown and CSV renderings derive from its rank. One writer, ``_table``,
-lays out every Markdown table.
+nothing is ever computed twice. The exceptions are each canary's
+exposure, log2(n) - log2(rank), and empirical FPR, (rank - 1)/n, which
+the JSON leaves out and the Markdown and CSV renderings derive from its
+rank. One writer, ``_table``, lays out every Markdown table.
 
 An ``epsilon_bounds`` row is its attack's operating point and counts,
 then every ``EpsilonBound`` field in declaration order (inf as null, the
@@ -40,7 +40,7 @@ from .baseline import (baseline_quantile_exposure, expected_exposure_asymptote,
 from .exposure import ExposureReport, _exposure
 from .ingest import AuditDataset, _csv_field, _csv_text, _positive_integer, dataset_summary
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def _histogram(exposures: np.ndarray, n: int, bins: int | None) -> dict:
@@ -51,10 +51,7 @@ def _histogram(exposures: np.ndarray, n: int, bins: int | None) -> dict:
     else:
         edges = np.linspace(lo, hi, _positive_integer(bins, "histogram_bins") + 1)
     counts, _ = np.histogram(exposures, bins=edges)
-    return {
-        "bin_edges": [float(e) for e in edges],
-        "counts": [int(c) for c in counts],
-    }
+    return {"bin_edges": edges.tolist(), "counts": counts.tolist()}
 
 
 def _baseline_rows(report: ExposureReport) -> list[dict]:
@@ -108,12 +105,8 @@ def build_report(
             "quantile_exposures": {str(q): v for q, v in report.quantile_exposures.items()},
             "epsilon_from_median_exposure": epsilon_from_median_exposure(
                 report.quantile_exposures[0.5]),
-            "per_canary": {
-                "id": None if d.canary_ids is None else list(d.canary_ids),
-                "loss": d.canary_losses.tolist(),
-                "rank": report.ranks.tolist(),
-                "exposure": report.exposures.tolist(),
-            },
+            "per_canary": {"id": None if d.canary_ids is None else list(d.canary_ids),
+                           "rank": report.ranks.tolist()},
         },
         "baselines": _baseline_rows(report),
         "epsilon_bounds": _bound_rows(result),
@@ -139,15 +132,15 @@ def _cell(text: str) -> str:
     return text.replace("\r", "\n").replace("\n", "<br>")
 
 
-def _canary_columns(document: dict):
-    """index, id, loss, rank, exposure and empirical_fpr columns; the first
-    two are endless. Python's int/int division rounds (rank - 1)/n to the
-    same double as ``ExposureReport.empirical_fprs``."""
-    columns = document["exposure"]["per_canary"]
+def _canary_columns(document: dict, rows: int | None = None):
+    """index, id, rank, exposure and empirical_fpr of the first ``rows`` canaries (all
+    if None); index and id are endless. ``_exposure`` of the int64 ranks and int/int
+    division give the doubles of ``ExposureReport.exposures`` and ``empirical_fprs``."""
+    ranks = list(itertools.islice(document["exposure"]["per_canary"]["rank"], rows))
     n = document["exposure"]["n"]
-    ids = itertools.repeat(None) if columns["id"] is None else columns["id"]
-    return (itertools.count(), ids, columns["loss"], columns["rank"],
-            columns["exposure"], ((rank - 1) / n for rank in columns["rank"]))
+    ids = document["exposure"]["per_canary"]["id"] or itertools.repeat(None)
+    return (itertools.count(), ids, ranks, _exposure(np.array(ranks, np.int64), n).tolist(),
+            ((rank - 1) / n for rank in ranks))
 
 
 def _opt(value) -> str:
@@ -200,8 +193,8 @@ def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
                                    for lo, hi, count in zip(edges, edges[1:], counts)))
 
     out.write("\n## Per-canary exposure\n\n")
-    rows = itertools.islice(zip(*_canary_columns(document)), max_canary_rows)
-    _table(out, ("index", "id", "loss", "rank", "exposure", "empirical fpr"),
+    rows = zip(*_canary_columns(document, max_canary_rows))
+    _table(out, ("index", "id", "rank", "exposure", "empirical fpr"),
            ([_fmt(index), "-" if rec_id is None else _cell(rec_id), *map(_fmt, values)]
             for index, rec_id, *values in rows))
     if document["exposure"]["m"] > max_canary_rows:
@@ -211,9 +204,9 @@ def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
 
 def render_csv(document: dict) -> str:
     """Per-canary exposure table as CSV (plot-ready)."""
-    index, ids, losses, ranks, exposures, fprs = _canary_columns(document)
+    index, ids, ranks, exposures, fprs = _canary_columns(document)
     replications = itertools.repeat(str(document["dataset"]["replications"]))
     return _csv_text(
-        ("index", "id", "loss", "replications", "rank", "exposure", "empirical_fpr"),
-        (map(str, index), map(_csv_field, ids), map(repr, losses), replications,
+        ("index", "id", "replications", "rank", "exposure", "empirical_fpr"),
+        (map(str, index), map(_csv_field, ids), replications,
          map(str, ranks), map(repr, exposures), map(repr, fprs)))

@@ -1,5 +1,8 @@
-"""Property tests of the invariants exposure, audit and ingest promise."""
+"""Property tests of the invariants exposure, audit, report and ingest promise."""
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -12,12 +15,15 @@ from canaudit import (
     AuditDataset,
     DatasetError,
     audit_pipeline,
+    build_report,
     epsilon_confident,
     exposure_all,
     exposure_quantile,
     parse_dataset,
     quantile_p_value,
     rank,
+    render_csv,
+    render_markdown,
     serialize_dataset,
     threshold_attack,
 )
@@ -81,6 +87,23 @@ def test_audit_rows_do_not_depend_on_the_tie_policy(canaries, references):
     pessimistic, optimistic = (audit_pipeline(d, OPERATING_POINTS, tie_policy=policy)
                                for policy in TIE_POLICIES)
     assert pessimistic.outcomes == optimistic.outcomes
+
+
+@given(tie_prone_losses, tie_prone_losses, st.sampled_from(TIE_POLICIES))
+@example([1.0], [0.5, 1.0, 2.0], "pessimistic")
+@example([0.5, 1.0, 1.0], [1.0], "optimistic")
+# at n = 1621, math.log2(n) - math.log2(rank) misses np.log2's bits for ranks 1-3
+@example([-1.0, 0.5, 1.5], [float(loss) for loss in range(1621)], "pessimistic")
+def test_rendered_exposures_are_the_arrays_bits(canaries, references, tie_policy):
+    # the JSON stores ranks only; the Markdown and CSV derive each exposure
+    d = make_dataset(canaries, references)
+    exposures = exposure_all(d, tie_policy).exposures.tolist()
+    document = build_report(d, audit_pipeline(d, tie_policy=tie_policy))
+    md = render_markdown(document, max_canary_rows=d.m)
+    md_rows = md[md.index("## Per-canary exposure"):].splitlines()[4:]
+    assert [row.split(" | ")[3] for row in md_rows] == [json.dumps(e) for e in exposures]
+    csv_rows = list(csv.reader(io.StringIO(render_csv(document))))[1:]
+    assert [row[4] for row in csv_rows] == [repr(e) for e in exposures]
 
 
 @given(st.integers(1, 2000), st.integers(1, 2000), st.data(),

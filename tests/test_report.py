@@ -69,7 +69,7 @@ def test_json_is_strict_with_infinite_thresholds():
 
 def test_document_records_bound_context():
     _, document = _sample_document(replications=3)
-    assert document["schema_version"] == 5
+    assert document["schema_version"] == 6
     assert document["parameters"]["tie_policy"] == "pessimistic"
     for row in document["epsilon_bounds"]:
         assert row["confidence"] == 0.95
@@ -83,12 +83,10 @@ def test_per_canary_columns_match_the_arrays():
     d, document = _sample_document(replications=2)
     report = audit_pipeline(d, operating_points=("median", 0.02)).exposure_report
     columns = document["exposure"]["per_canary"]
-    assert list(columns) == ["id", "loss", "rank", "exposure"]
+    assert list(columns) == ["id", "rank"]
     assert all(len(column) == d.m for column in columns.values())
     assert columns["id"] == list(d.canary_ids)
-    assert columns["loss"] == d.canary_losses.tolist()
     assert columns["rank"] == report.ranks.tolist()
-    assert columns["exposure"] == report.exposures.tolist()
     assert _strict_loads(render_json(document))["exposure"]["per_canary"] == columns
 
 
@@ -200,19 +198,23 @@ def test_quantile_rows_read_the_integer_rank():
 def test_markdown_extracted_numbers_all_come_from_json():
     import re
 
-    _, document = _sample_document()
+    d, document = _sample_document()
     md = render_markdown(document)
     json_text = render_json(document)
+    exposures = exposure_all(d).exposures.tolist()
     # every numeric token in the rendering must appear verbatim in the JSON,
-    # except each canary's empirical fpr, which is (rank - 1)/n of the JSON
+    # except each canary's exposure and empirical fpr, which the renderings
+    # derive from its rank
     head, table = md.split("## Per-canary exposure")
     rows = [line.strip("| ").split(" | ") for line in table.splitlines()
             if line.startswith("| ") and not line.startswith("| index")]
     assert len(rows) == 20
     n, ranks = document["exposure"]["n"], document["exposure"]["per_canary"]["rank"]
-    for index, _, _, _, _, fpr in rows:
-        assert fpr == json.dumps((ranks[int(index)] - 1) / n)
-    verbatim = head + "\n".join(" | ".join(cells[:-1]) for cells in rows)
+    for index, _, rank, exposure, fpr in rows:
+        assert int(rank) == ranks[int(index)]
+        assert exposure == json.dumps(exposures[int(index)])
+        assert fpr == json.dumps((int(rank) - 1) / n)
+    verbatim = head + "\n".join(" | ".join(cells[:-2]) for cells in rows)
     for token in re.findall(r"-?\d+\.\d+(?:e-?\d+)?", verbatim):
         assert token in json_text, token
 
@@ -222,11 +224,10 @@ def test_csv_rendering_parses():
     ids = ["x,y", 'q"', "l\nm", "a\rb"] + [f"c{i}" for i in range(4, 40)]
     d, document = _sample_document(ids=ids)
     rows = list(csv.reader(io.StringIO(render_csv(document))))
-    assert rows[0] == ["index", "id", "loss", "replications", "rank", "exposure",
-                       "empirical_fpr"]
+    assert rows[0] == ["index", "id", "replications", "rank", "exposure", "empirical_fpr"]
     assert [row[0] for row in rows[1:]] == [str(i) for i in range(d.m)]
     assert [row[1] for row in rows[1:]] == ids
-    assert [float(row[2]) for row in rows[1:]] == d.canary_losses.tolist()
+    assert [int(row[3]) for row in rows[1:]] == document["exposure"]["per_canary"]["rank"]
 
 
 def test_markdown_includes_warnings_section():
@@ -248,12 +249,12 @@ def _golden_document():
 
 def test_csv_rendering_golden():
     assert render_csv(_golden_document()) == (
-        "index,id,loss,replications,rank,exposure,empirical_fpr\n"
-        "0,a,0.5,2,1,2.0,0.0\n"
-        "1,b,1.5,2,2,1.0,0.25\n"
-        "2,,2.5,2,3,0.4150374992788439,0.5\n"
-        '3,"d,e",3.5,2,4,0.0,0.75\n'
-        "4,f,0.25,2,1,2.0,0.0\n"
+        "index,id,replications,rank,exposure,empirical_fpr\n"
+        "0,a,2,1,2.0,0.0\n"
+        "1,b,2,2,1.0,0.25\n"
+        "2,,2,3,0.4150374992788439,0.5\n"
+        '3,"d,e",2,4,0.0,0.75\n'
+        "4,f,2,1,2.0,0.0\n"
     )
 
 
@@ -261,9 +262,9 @@ def test_csv_rendering_golden_without_ids():
     d = make_dataset([0.5, 2.5], [1.0, 2.0, 3.0, 4.0])
     document = build_report(d, audit_pipeline(d))
     assert render_csv(document) == (
-        "index,id,loss,replications,rank,exposure,empirical_fpr\n"
-        "0,,0.5,1,1,2.0,0.0\n"
-        "1,,2.5,1,3,0.4150374992788439,0.5\n"
+        "index,id,replications,rank,exposure,empirical_fpr\n"
+        "0,,1,1,2.0,0.0\n"
+        "1,,1,3,0.4150374992788439,0.5\n"
     )
 
 
@@ -271,21 +272,21 @@ def test_markdown_per_canary_table_golden():
     md = render_markdown(_golden_document(), max_canary_rows=3)
     assert md[md.index("## Per-canary exposure"):] == (
         "## Per-canary exposure\n\n"
-        "| index | id | loss | rank | exposure | empirical fpr |\n"
-        "|---|---|---|---|---|---|\n"
-        "| 0 | a | 0.5 | 1 | 2.0 | 0.0 |\n"
-        "| 1 | b | 1.5 | 2 | 1.0 | 0.25 |\n"
-        "| 2 | - | 2.5 | 3 | 0.4150374992788439 | 0.5 |\n"
+        "| index | id | rank | exposure | empirical fpr |\n"
+        "|---|---|---|---|---|\n"
+        "| 0 | a | 1 | 2.0 | 0.0 |\n"
+        "| 1 | b | 2 | 1.0 | 0.25 |\n"
+        "| 2 | - | 3 | 0.4150374992788439 | 0.5 |\n"
         "\n(table truncated; the JSON report carries every row)\n"
     )
     untruncated = render_markdown(_golden_document(), max_canary_rows=5)
-    assert untruncated.endswith("| 4 | f | 0.25 | 1 | 2.0 | 0.0 |\n")
+    assert untruncated.endswith("| 4 | f | 1 | 2.0 | 0.0 |\n")
 
 
 def test_markdown_rendering_golden():
     assert render_markdown(_golden_document()) == (
         "# Canary exposure audit\n\n"
-        f"tool version {__version__}, schema version 5\n\n"
+        f"tool version {__version__}, schema version 6\n\n"
         "## Dataset\n\n"
         "- canaries (m): 5\n"
         "- references (n): 4\n"
@@ -320,13 +321,13 @@ def test_markdown_rendering_golden():
         "| [1.1780719051126378, 1.6780719051126378] | 0 |\n"
         "| [1.6780719051126378, 2.178071905112638] | 2 |\n\n"
         "## Per-canary exposure\n\n"
-        "| index | id | loss | rank | exposure | empirical fpr |\n"
-        "|---|---|---|---|---|---|\n"
-        "| 0 | a | 0.5 | 1 | 2.0 | 0.0 |\n"
-        "| 1 | b | 1.5 | 2 | 1.0 | 0.25 |\n"
-        "| 2 | - | 2.5 | 3 | 0.4150374992788439 | 0.5 |\n"
-        "| 3 | d,e | 3.5 | 4 | 0.0 | 0.75 |\n"
-        "| 4 | f | 0.25 | 1 | 2.0 | 0.0 |\n"
+        "| index | id | rank | exposure | empirical fpr |\n"
+        "|---|---|---|---|---|\n"
+        "| 0 | a | 1 | 2.0 | 0.0 |\n"
+        "| 1 | b | 2 | 1.0 | 0.25 |\n"
+        "| 2 | - | 3 | 0.4150374992788439 | 0.5 |\n"
+        "| 3 | d,e | 4 | 0.0 | 0.75 |\n"
+        "| 4 | f | 1 | 2.0 | 0.0 |\n"
     )
 
 
@@ -377,14 +378,14 @@ def test_markdown_per_canary_table_escapes_ids():
     md = render_markdown(build_report(d, audit_pipeline(d)))
     table = md[md.index("## Per-canary exposure"):].splitlines()[2:]
     assert table == [
-        "| index | id | loss | rank | exposure | empirical fpr |",
-        "|---|---|---|---|---|---|",
-        "| 0 | a\\|b | 0.5 | 1 | 1.0 | 0.0 |",
-        "| 1 | x<br>y | 1.5 | 2 | 0.0 | 0.5 |",
-        "| 2 | p\\\\\\|q | 2.5 | 3 | -0.5849625007211561 | 1.0 |",
+        "| index | id | rank | exposure | empirical fpr |",
+        "|---|---|---|---|---|",
+        "| 0 | a\\|b | 1 | 1.0 | 0.0 |",
+        "| 1 | x<br>y | 2 | 0.0 | 0.5 |",
+        "| 2 | p\\\\\\|q | 3 | -0.5849625007211561 | 1.0 |",
     ]
-    for row in table:  # seven pipes once each escaped character is removed
-        assert re.sub(r"\\.", "", row).count("|") == 7
+    for row in table:  # six pipes once each escaped character is removed
+        assert re.sub(r"\\.", "", row).count("|") == 6
 
 
 def test_markdown_shows_the_exposure_form_epsilon():

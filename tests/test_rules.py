@@ -8,10 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from canaudit import (AuditDataset, GaussianShiftModel, audit_pipeline, clopper_pearson,
-                      epsilon_from_median_exposure, epsilon_point, exposure_quantile,
-                      group_privacy_adjust, monte_carlo_baseline, operating_points,
-                      quantile_p_value, rank, threshold_attack)
+from canaudit import (AuditDataset, DatasetError, GaussianShiftModel, audit_pipeline,
+                      clopper_pearson, epsilon_from_median_exposure, epsilon_point,
+                      exposure_quantile, group_privacy_adjust, monte_carlo_baseline,
+                      operating_points, quantile_p_value, rank, threshold_attack)
 from conftest import make_dataset
 
 _D = make_dataset([1.0, 2.0], [1.5, 3.0])
@@ -72,6 +72,9 @@ def _real_cases():
                            id=f"fpr-target={value!r}")
     yield pytest.param(lambda v: rank(v, [1.0, 2.0]), "1.0",
                        "loss must be a real number, got '1.0'", id="rank-loss='1.0'")
+    # an int beyond the doubles fails the rule, not float()
+    yield pytest.param(lambda v: threshold_attack(_D, v), 10**400,
+                       "threshold must be within the float range", id="threshold=10**400")
     entries = {"mu": lambda v: GaussianShiftModel(mu=v, sigma=1.0, m=3, n=3, seed=0),
                "sigma": lambda v: GaussianShiftModel(mu=1.0, sigma=v, m=3, n=3, seed=0),
                "exposure_median": epsilon_from_median_exposure,
@@ -98,6 +101,12 @@ def _column_cases():
     yield pytest.param(lambda c: AuditDataset(c, [1.0]), np.array(["1.5", 2], dtype=object),
                        "an element of canary losses must be a real number, got '1.5'",
                        id="canary-losses-object-text")
+    yield pytest.param(lambda c: AuditDataset(c, [1.0]), np.array([10**400], dtype=object),
+                       "an element of canary losses must be within the float range",
+                       id="canary-losses-object-10**400")
+    yield pytest.param(lambda c: AuditDataset(c, [1.0]), [[1.0], [1.0, 2.0]],
+                       "canary losses must be 1-D, got a ragged sequence",
+                       id="canary-losses-ragged")
     yield pytest.param(lambda r: rank(1.0, r), ["0.5", "2.0"],
                        "reference_losses must be real numbers, got dtype <U3",
                        id="rank-reference_losses-text")
@@ -122,6 +131,13 @@ def test_input_rule_rejects_with_its_one_message(entry, value, message):
     with pytest.raises(ValueError) as exc:
         entry(value)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("losses", [np.array([10**400], dtype=object), [[1.0], [1.0, 2.0]]],
+                         ids=["object-10**400", "ragged"])
+def test_dataset_column_rule_raises_dataset_error(losses):
+    with pytest.raises(DatasetError):
+        AuditDataset(losses, [1.0])
 
 
 def test_input_rules_accept_numpy_scalars_and_arrays():
