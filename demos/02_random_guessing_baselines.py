@@ -3,17 +3,18 @@
 With an uninformative loss the ranks are uniformly random, yet the MEAN
 exposure sits near 1.44 bits, not 1 -- the log in the exposure formula
 biases it upward. The MEDIAN baseline is 1 bit and quantile baselines
-follow -log2(1-q). Comparing observations against these values prevents
-reading pure noise as leakage.
+follow -log2(1-q). At finite m and n every aggregate's null mean and std
+are exact, with no sampling. Comparing observations against these values
+prevents reading pure noise as leakage.
 
 Run: python demos/02_random_guessing_baselines.py
 """
 
 from canaudit import (
     baseline_quantile_exposure,
+    exact_baseline,
     expected_exposure_asymptote,
     expected_exposure_exact,
-    monte_carlo_baseline,
 )
 
 
@@ -29,14 +30,15 @@ def main():
         print(f"  q = {q:<6} -> exposure {baseline_quantile_exposure(q):.3f} bits")
 
     print()
-    print("=== Monte Carlo finite-sample check (m=1001 canaries, n=1000) ===")
+    print("=== exact finite-sample baselines (m=1001 canaries, n=1000) ===")
     for statistic, q in (("mean", None), ("quantile", 0.5), ("quantile", 0.75)):
-        summary = monte_carlo_baseline(1001, 1000, statistic, trials=300, seed=7, q=q)
+        summary = exact_baseline(1001, 1000, statistic, q=q)
         name = statistic if q is None else f"quantile {q}"
-        target = summary.exact_value if summary.exact_value is not None \
-            else summary.asymptotic_value
-        print(f"  {name:<14} mc mean {summary.mc_mean:+.4f} "
-              f"(std {summary.mc_std:.4f})  reference value {target:+.4f}")
+        print(f"  {name:<14} exact mean {summary.mean:+.4f} (std {summary.std:.4f})  "
+              f"asymptote {summary.asymptotic_value:+.4f}")
+        if summary.quantiles:
+            values = ", ".join(f"{value:+.4f}" for value in summary.quantiles.values())
+            print(f"{'':17}null quantiles 0.05-0.95: {values}")
 
     print()
     print("A mean exposure of ~1.44 over many canaries is exactly what random")

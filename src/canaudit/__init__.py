@@ -32,9 +32,9 @@ from .audit import (
 from .baseline import (
     BaselineSummary,
     baseline_quantile_exposure,
+    exact_baseline,
     expected_exposure_asymptote,
     expected_exposure_exact,
-    monte_carlo_baseline,
     quantile_p_value,
 )
 from .exposure import (
@@ -77,13 +77,13 @@ __all__ = [
     "epsilon_confident",
     "epsilon_from_median_exposure",
     "epsilon_point",
+    "exact_baseline",
     "exposure_all",
     "exposure_of",
     "exposure_quantile",
     "expected_exposure_asymptote",
     "expected_exposure_exact",
     "group_privacy_adjust",
-    "monte_carlo_baseline",
     "operating_points",
     "parse_dataset",
     "quantile_p_value",

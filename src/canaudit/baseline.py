@@ -12,8 +12,8 @@ baseline is exactly 1 bit and the 75th percentile baseline is 2 bits.
 
 Observed exposure aggregates should always be read against these values:
 a mean exposure of 1.4 over many canaries indicates no memorization at
-all. ``quantile_p_value`` says how unlikely an observed quantile is by
-chance.
+all. ``exact_baseline`` gives an aggregate's null mean and std exactly,
+and ``quantile_p_value`` how unlikely an observed quantile is by chance.
 """
 
 from __future__ import annotations
@@ -23,38 +23,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exposure import _exposure, exposure_quantile
-from .ingest import _column, _non_negative_integer, _positive_integer, _unit_interval
+from .exposure import _exposure
+from .ingest import _column, _positive_integer, _unit_interval
 
 LN2 = math.log(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # B_2j / (2j (2j - 1)): the Stirling series of ln Gamma, to 1e-16 from z = 10
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
-_MC_SUMMARY_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+_NULL_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 @dataclass(frozen=True)
 class BaselineSummary:
-    """Exact, asymptotic, and Monte Carlo values of one baseline statistic.
-
-    ``statistic`` is ``"mean"`` or ``"quantile"`` (with ``q`` set);
-    ``exact_value`` is present only where a closed form exists (the mean).
-    ``mc_quantiles`` summarizes the across-trial distribution of the
-    statistic.
+    """An exposure aggregate's exact mean and std under the permutation null,
+    its large-n limit, and its exact null quantile at each level of
+    ``_NULL_QUANTILES`` (none for the mean: they have no closed form).
     """
 
-    statistic: str
-    q: float | None
-    exact_value: float | None
     asymptotic_value: float
-    mc_mean: float
-    mc_std: float
-    mc_quantiles: dict[float, float]
-    trials: int
-    seed: int
-    m: int
-    n: int
+    mean: float
+    std: float
+    quantiles: dict[float, float]
 
 
 def expected_exposure_exact(n: int) -> float:
@@ -83,54 +73,50 @@ def baseline_quantile_exposure(q: float) -> float:
     return -math.log2(1.0 - q)
 
 
-def monte_carlo_baseline(
-    m: int,
-    n: int,
-    statistic: str,
-    trials: int,
-    seed: int,
-    q: float | None = None,
-) -> BaselineSummary:
-    """Simulate the random-guessing distribution of an exposure aggregate.
+def exact_baseline(m: int, n: int, statistic: str, q: float | None = None) -> BaselineSummary:
+    """The exact null distribution of an exposure aggregate of m canaries.
 
-    Each trial samples the permutation null that ``quantile_p_value``
-    tests: the canaries take a uniform m-subset of the m + n pooled
-    positions, and the i-th smallest position p (both from 0) has p - i
-    references below it, so rank p - i + 1, marginally uniform on
-    {1, ..., n+1}. The trial evaluates the requested aggregate (``"mean"``,
-    or ``"quantile"`` with ``q``) of their exposures. Deterministic given
-    ``seed``: trial t draws from child stream t of the seed.
+    Under the permutation null of ``quantile_p_value`` the mean exposure
+    (``"mean"``) has mean ``expected_exposure_exact(n)`` and the
+    Dirichlet-multinomial variance V (m + n + 1) / (m (n + 2)), V that of one
+    uniform rank's exposure. The q-quantile exposure (``"quantile"`` with
+    ``q``) is that of the k-th smallest rank, k = m - ceil(q m) + 1, whose
+    pmf gives its mean, std and quantiles.
     """
     m, n = _positive_integer(m, "m"), _positive_integer(n, "n")
-    trials = _positive_integer(trials, "trials")
-    seed = _non_negative_integer(seed, "seed")
     if statistic == "mean" and q is None:
-        exact, asymptotic = expected_exposure_exact(n), expected_exposure_asymptote()
+        asymptotic, mean, quantiles = expected_exposure_asymptote(), expected_exposure_exact(n), {}
+        std = math.sqrt(_exposure(np.arange(1, n + 2), n).var() * (m + n + 1) / (m * (n + 2)))
     elif statistic == "quantile" and q is not None:
-        exact, asymptotic = None, baseline_quantile_exposure(q)  # checks q
+        asymptotic = baseline_quantile_exposure(q)  # checks q
+        pmf = _kth_rank_pmf(m, n, m - math.ceil(q * m) + 1)
+        exposures = _exposure(np.arange(n + 1, 0, -1), n)  # ascending
+        mean = float(pmf @ exposures)
+        std = math.sqrt(pmf @ (exposures - mean) ** 2)
+        # a level within rounding of a cumulative probability reaches it: at
+        # small m + n these are multiples of 1 / C(m + n, m) and can equal it
+        levels = np.searchsorted(np.cumsum(pmf), np.subtract(_NULL_QUANTILES, 1e-12))
+        quantiles = dict(zip(_NULL_QUANTILES, exposures[levels].tolist()))
     else:
         raise ValueError("statistic must be 'mean' without q or 'quantile' with q, "
                          f"got {statistic!r} and q={q!r}")
+    return BaselineSummary(asymptotic_value=asymptotic, mean=mean, std=std, quantiles=quantiles)
 
-    stats = np.empty(trials, dtype=np.float64)
-    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        subset = np.random.default_rng(child).choice(m + n, m, replace=False, shuffle=False)
-        exposures = _exposure(np.sort(subset) - np.arange(m) + 1, n)
-        stats[t] = (exposures.mean() if statistic == "mean"
-                    else exposure_quantile(exposures, q))
-    return BaselineSummary(
-        statistic=statistic,
-        q=q,
-        exact_value=exact,
-        asymptotic_value=asymptotic,
-        mc_mean=float(stats.mean()),
-        mc_std=float(stats.std(ddof=1)) if trials > 1 else 0.0,
-        mc_quantiles={p: float(np.quantile(stats, p)) for p in _MC_SUMMARY_QUANTILES},
-        trials=trials,
-        seed=seed,
-        m=m,
-        n=n,
-    )
+
+def _kth_rank_pmf(m: int, n: int, k: int) -> np.ndarray:
+    """P(R = r) for r = n + 1, n, ..., 1, R the k-th smallest rank of m canaries.
+
+    Under the null P(R = r) = C(k + r - 2, k - 1) C(m - k + n - r + 1, m - k) /
+    C(m + n, m). From the mean of R each term is its neighbour's times their
+    ratio, with no lgamma per term; far terms underflow to 0, and the terms
+    are scaled to sum to 1.
+    """
+    r = np.arange(1.0, n + 1)
+    up = (k + r - 1) * (n - r + 1) / (r * (m - k + n - r + 1))  # pmf(r + 1) / pmf(r)
+    i = round(k * n / (m + 1))  # the index of the rank nearest the mean of R
+    pmf = np.concatenate([np.cumprod(up[i:])[::-1], [1.0], np.cumprod(1.0 / up[:i][::-1])])
+    pmf[pmf < 1e-300] = 0.0  # subnormal terms hold no mass but slow every sum over them
+    return pmf / pmf.sum()
 
 
 def quantile_p_value(ranks, n: int, q: float) -> float:

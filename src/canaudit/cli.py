@@ -1,4 +1,4 @@
-"""Command-line interface: audit loss files, print baselines, simulate, ROC.
+"""Command-line interface: audit loss files, print exact baselines, simulate, ROC.
 
 Exit codes: 0 on success, 1 on a dataset parse/validation problem, an
 unreadable input or an unwritable output (diagnostic on stderr), 2 on
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .attack import roc, roc_to_csv
 from .audit import audit_pipeline
-from .baseline import monte_carlo_baseline
+from .baseline import exact_baseline
 from .exposure import TIE_POLICIES
 from .ingest import (DatasetError, _positive_integer, _unit_interval, parse_dataset,
                      serialize_dataset)
@@ -72,17 +72,14 @@ def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     statistic, q = _parse_statistic(parser, args.statistic)
-    summary = _flag_checked(parser, monte_carlo_baseline, args.m, args.n, statistic,
-                            args.trials, args.seed, q)
+    summary = _flag_checked(parser, exact_baseline, args.m, args.n, statistic, q)
     name = statistic if q is None else f"quantile {q:g}"
     print(f"random-guessing baseline for {name} exposure (m={args.m}, n={args.n})")
-    if summary.exact_value is not None:
-        print(f"  exact:       {summary.exact_value!r}")
+    print(f"  exact:       {summary.mean!r}")
     print(f"  asymptotic:  {summary.asymptotic_value!r}")
-    print(f"  monte carlo: {summary.mc_mean!r} (std {summary.mc_std!r}, "
-          f"trials {summary.trials}, seed {summary.seed})")
-    for p in sorted(summary.mc_quantiles):
-        print(f"    mc quantile {p:g}: {summary.mc_quantiles[p]!r}")
+    print(f"  exact std:   {summary.std!r}")
+    for p, value in summary.quantiles.items():
+        print(f"    null quantile {p:g}: {value!r}")
     return 0
 
 
@@ -127,15 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     baseline = sub.add_parser(
         "baseline", help="random-guessing baseline for an exposure statistic",
-        description="Monte Carlo under the permutation null of the audit's p-values: every "
-        "interleaving of canary and reference losses is equally likely.",
+        description="Exact mean and std under the permutation null of the audit's p-values, "
+        "and for a quantile its null quantiles: the mean's have no closed form.",
     )
     baseline.add_argument("--m", type=int, required=True, help="number of canaries")
     baseline.add_argument("--n", type=int, required=True, help="number of references")
     baseline.add_argument("--statistic", default="mean",
                           help="'mean' or 'quantile=Q' (default mean)")
-    baseline.add_argument("--trials", type=int, default=1000)
-    baseline.add_argument("--seed", type=int, default=0)
     baseline.set_defaults(func=_cmd_baseline)
 
     sim = sub.add_parser("simulate", help="write a synthetic loss file")

@@ -21,7 +21,7 @@ next is read, so the first fault in the file is the one reported.
 
 Every shared input rule of the library lives here, once:
 ``_positive_integer`` (counts), ``_non_negative_integer`` (seeds, hit
-counts), ``_real`` (thresholds, losses, parameters), ``_unit_interval``
+counts, row limits), ``_real`` (thresholds, losses, parameters), ``_unit_interval``
 (probabilities, confidences, fpr targets), ``_sequence`` (points, ids)
 and ``_column`` (arrays). Each raises ``ValueError`` with one message,
 and the CLI checks a flag by calling the same rule under the flag's name.
@@ -123,6 +123,10 @@ def _column(values, name: str, error: type[ValueError] = ValueError, integer: bo
         raise error(f"{name} must be {what}, got dtype {array.dtype}")
     for value in array if array.dtype.kind == "O" else ():
         _real(value, f"an element of {name}", error=error)
+    if isinstance(values, (list, tuple)):  # np.asarray reads a bool among numbers as 1 or 0
+        for value in values:
+            if isinstance(value, (bool, np.bool_)):
+                _real(value, f"an element of {name}", error=error)
     array = array if integer else array.astype(np.float64, copy=False)
     if not np.isfinite(array).all():
         raise error(f"{name} must be finite")
@@ -315,8 +319,9 @@ def _dataset(records) -> AuditDataset:
         if role == "canary":
             canary_replications.add(reps)
     counts = sorted(canary_replications)
-    d = AuditDataset(losses["canary"], losses["reference"], ids["canary"], ids["reference"],
-                     counts[0] if counts else 1)
+    # float64 arrays: _parse_loss rejects bools, so _column need not scan lists
+    d = AuditDataset(np.array(losses["canary"]), np.array(losses["reference"]), ids["canary"],
+                     ids["reference"], counts[0] if counts else 1)
     # Checked after the dataset's own checks, so empty roles report first.
     if len(counts) > 1:
         raise DatasetError(

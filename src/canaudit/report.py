@@ -38,7 +38,8 @@ from .audit import INDEPENDENCE_NOTICE, AuditResult, epsilon_from_median_exposur
 from .baseline import (baseline_quantile_exposure, expected_exposure_asymptote,
                        expected_exposure_exact, quantile_p_value)
 from .exposure import ExposureReport, _exposure
-from .ingest import AuditDataset, _csv_field, _csv_text, _positive_integer, dataset_summary
+from .ingest import (AuditDataset, _csv_field, _csv_text, _non_negative_integer, _positive_integer,
+                     dataset_summary)
 
 SCHEMA_VERSION = 6
 
@@ -156,6 +157,7 @@ def _table(out: io.StringIO, header: tuple[str, ...], rows) -> None:
 
 def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
     """Human-readable rendering of a report document."""
+    max_canary_rows = _non_negative_integer(max_canary_rows, "max_canary_rows")
     out = io.StringIO()
     ds = document["dataset"]
     out.write(f"# Canary exposure audit\n\ntool version {document['tool_version']}, "

@@ -18,12 +18,12 @@ from canaudit import (
     epsilon_confident,
     epsilon_from_median_exposure,
     epsilon_point,
+    exact_baseline,
     expected_exposure_asymptote,
     expected_exposure_exact,
     exposure_all,
     exposure_of,
     group_privacy_adjust,
-    monte_carlo_baseline,
     operating_points,
     parse_dataset,
     roc,
@@ -73,17 +73,15 @@ def test_criterion_01_expected_exposure_baseline():
 
 
 def test_criterion_02_median_and_quantile_baselines():
-    median = monte_carlo_baseline(10_001, 10**4, "quantile", trials=200,
-                                  seed=2024, q=0.5)
-    upper = monte_carlo_baseline(10_001, 10**4, "quantile", trials=200,
-                                 seed=2024, q=0.75)
-    ok_median = abs(median.mc_mean - 1.0) < 0.05
-    ok_upper = abs(upper.mc_mean - 2.0) < 0.1
+    median = exact_baseline(10_001, 10**4, "quantile", q=0.5)
+    upper = exact_baseline(10_001, 10**4, "quantile", q=0.75)
+    ok_median = abs(median.mean - 1.0) < 0.05
+    ok_upper = abs(upper.mean - 2.0) < 0.1
     _criterion(
         2,
-        "Monte Carlo median baseline is 1 and 75th percentile baseline is 2",
+        "exact median baseline is 1 and 75th percentile baseline is 2",
         ok_median and ok_upper,
-        f"median={median.mc_mean:.4f}, q75={upper.mc_mean:.4f}",
+        f"median={median.mean:.4f}, q75={upper.mean:.4f}",
     )
 
 

@@ -8,12 +8,12 @@ import pytest
 from canaudit import (
     baseline_quantile_exposure,
     expected_exposure_asymptote,
+    exact_baseline,
     expected_exposure_exact,
     exposure_quantile,
-    monte_carlo_baseline,
     quantile_p_value,
 )
-from canaudit.baseline import _log_binomial_pmf, _log_tail
+from canaudit.baseline import _kth_rank_pmf, _log_binomial_pmf, _log_tail
 
 from conftest import comb_quantile_p_value
 
@@ -83,65 +83,28 @@ def test_quantile_baseline_validation():
             baseline_quantile_exposure(q)
 
 
-def test_monte_carlo_deterministic():
-    a = monte_carlo_baseline(30, 20, "mean", trials=40, seed=99)
-    b = monte_carlo_baseline(30, 20, "mean", trials=40, seed=99)
-    assert a == b
+def test_exact_baseline_summary_fields():
+    summary = exact_baseline(10, 5, "quantile", q=0.75)
+    assert summary.asymptotic_value == 2.0 and summary.std > 0.0
+    assert list(summary.quantiles) == [0.05, 0.25, 0.5, 0.75, 0.95]
+    assert list(summary.quantiles.values()) == sorted(summary.quantiles.values())
+    mean = exact_baseline(10, 5, "mean")
+    assert mean.mean == expected_exposure_exact(5) and mean.quantiles == {}
+    assert mean.asymptotic_value == expected_exposure_asymptote()
+    assert exact_baseline(1001, 1000, "quantile", q=0.5).mean == pytest.approx(1.0, abs=0.01)
 
 
-def test_monte_carlo_seed_changes_results():
-    a = monte_carlo_baseline(30, 20, "mean", trials=40, seed=1)
-    b = monte_carlo_baseline(30, 20, "mean", trials=40, seed=2)
-    assert a.mc_mean != b.mc_mean
-
-
-def test_monte_carlo_m1_n1_converges():
-    summary = monte_carlo_baseline(1, 1, "mean", trials=4000, seed=0)
-    se = summary.mc_std / math.sqrt(summary.trials)
-    assert abs(summary.mc_mean - (-0.5)) < 5 * se
-
-
-def test_monte_carlo_mean_tracks_exact_value():
-    # |mc_mean - exact| < 5 * mc_std / sqrt(trials) in >= 99% of seeds
-    failures = 0
-    for seed in range(100):
-        summary = monte_carlo_baseline(50, 37, "mean", trials=60, seed=seed)
-        se = summary.mc_std / math.sqrt(summary.trials)
-        if abs(summary.mc_mean - summary.exact_value) >= 5 * se:
-            failures += 1
-    assert failures <= 1
-
-
-def test_monte_carlo_median_near_one():
-    summary = monte_carlo_baseline(1001, 1000, "quantile", trials=50, seed=4, q=0.5)
-    assert summary.exact_value is None
-    assert summary.asymptotic_value == 1.0
-    assert summary.mc_mean == pytest.approx(1.0, abs=0.1)
-
-
-def test_monte_carlo_summary_fields():
-    summary = monte_carlo_baseline(10, 5, "quantile", trials=9, seed=7, q=0.75)
-    assert summary.statistic == "quantile" and summary.q == 0.75
-    assert summary.trials == 9 and summary.seed == 7
-    assert summary.m == 10 and summary.n == 5
-    assert summary.mc_std >= 0.0
-    assert set(summary.mc_quantiles) == {0.05, 0.25, 0.5, 0.75, 0.95}
-    assert summary.mc_quantiles[0.05] <= summary.mc_quantiles[0.95]
-
-
-def test_monte_carlo_validation():
+def test_exact_baseline_validation():
     with pytest.raises(ValueError):
-        monte_carlo_baseline(0, 5, "mean", trials=5, seed=0)
+        exact_baseline(0, 5, "mean")
     with pytest.raises(ValueError):
-        monte_carlo_baseline(5, 5, "mean", trials=0, seed=0)
+        exact_baseline(5, 5, "mode")
     with pytest.raises(ValueError):
-        monte_carlo_baseline(5, 5, "mode", trials=5, seed=0)
+        exact_baseline(5, 5, "quantile")  # missing q
     with pytest.raises(ValueError):
-        monte_carlo_baseline(5, 5, "quantile", trials=5, seed=0)  # missing q
+        exact_baseline(5, 5, "mean", q=0.5)  # stray q
     with pytest.raises(ValueError):
-        monte_carlo_baseline(5, 5, "mean", trials=5, seed=0, q=0.5)  # stray q
-    with pytest.raises(ValueError):
-        monte_carlo_baseline(5, 5, "quantile", trials=5, seed=0, q=1.5)
+        exact_baseline(5, 5, "quantile", q=1.5)
 
 
 def _interleavings(m, n):
@@ -154,20 +117,18 @@ def _statistic(exposures, q):
     return exposures.mean() if q is None else exposure_quantile(exposures, q)
 
 
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 4), (4, 2), (3, 6), (1, 1)])
 @pytest.mark.parametrize("q", [None, 0.5, 0.75])
-def test_monte_carlo_moments_match_enumeration(q):
-    # the null weighs every interleaving equally, so its exact moments are
-    # the moments over all 84 placements of 3 canaries among 6 references
-    m, n, trials = 3, 6, 4000
+def test_exact_baseline_matches_enumeration(m, n, q):
+    # the null weighs every interleaving equally, so its exact mean, std and
+    # nearest-rank quantiles are those over every placement
     every = np.array([_statistic(np.log2(n) - np.log2(ranks), q)
                       for ranks in _interleavings(m, n)])
-    mean, std = every.mean(), every.std()
-    fourth = ((every - mean) ** 4).mean()
-    summary = monte_carlo_baseline(m, n, "mean" if q is None else "quantile", trials,
-                                   seed=31, q=q)
-    # standard errors of the sample mean and, by the delta method, the sample std
-    assert abs(summary.mc_mean - mean) <= 4 * std / math.sqrt(trials)
-    assert abs(summary.mc_std - std) <= 4 * math.sqrt((fourth - std**4) / trials) / (2 * std)
+    summary = exact_baseline(m, n, "mean" if q is None else "quantile", q)
+    assert abs(summary.mean - every.mean()) <= 1e-12
+    assert abs(summary.std - every.std()) <= 1e-12
+    assert summary.quantiles == ({} if q is None else {
+        p: exposure_quantile(every, p) for p in (0.05, 0.25, 0.5, 0.75, 0.95)})
 
 
 def _permutation_null(m, n, trials, q, seed):
@@ -183,15 +144,31 @@ def _permutation_null(m, n, trials, q, seed):
     return np.array(stats)
 
 
+@pytest.mark.parametrize("m, n", [(30, 50), (50, 30), (400, 100), (100, 400), (1000, 1000)])
 @pytest.mark.parametrize("q", [None, 0.5])
-def test_monte_carlo_std_matches_permutation_null(q):
+def test_exact_std_matches_permutation_null(m, n, q):
     # every canary is ranked against the same references, which moves the
     # ranks together: at m = n independent ranks give about 0.7 of this std
-    m = n = 1000
-    summary = monte_carlo_baseline(m, n, "mean" if q is None else "quantile", 2000,
-                                   seed=8, q=q)
-    reference = _permutation_null(m, n, 4000, q, seed=9).std(ddof=1)
-    assert summary.mc_std == pytest.approx(reference, rel=0.05)
+    trials = 4000
+    stats = _permutation_null(m, n, trials, q, seed=9)
+    std, fourth = stats.std(), ((stats - stats.mean()) ** 4).mean()
+    summary = exact_baseline(m, n, "mean" if q is None else "quantile", q)
+    # three standard errors of the sample std, by the delta method
+    error = math.sqrt((fourth - std**4) / trials) / (2 * std)
+    assert abs(summary.std - stats.std(ddof=1)) <= 3 * error
+
+
+@pytest.mark.parametrize("size", [10**3, 10**5, 10**6])
+@pytest.mark.parametrize("q", [0.5, 0.75])
+def test_kth_rank_pmf_matches_quantile_p_value(size, q):
+    # P(R <= r) is quantile_p_value of any ranks whose k-th smallest is r; as
+    # the pmf is scaled to sum to 1, this also checks that it misses no mass
+    m = n = size
+    cdf = np.cumsum(_kth_rank_pmf(m, n, m - math.ceil(q * m) + 1)[::-1])
+    held = np.flatnonzero(cdf >= 1e-9)
+    for i in np.unique(np.r_[held[:10], held[::max(1, held.size // 40)], held[-1]]):
+        want = quantile_p_value(np.full(m, i + 1), n, q)
+        assert cdf[i] == pytest.approx(want, rel=1e-10, abs=0.0), (size, q, i + 1)
 
 
 @pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 4), (4, 2), (3, 6)])

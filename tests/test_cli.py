@@ -194,6 +194,9 @@ def test_audit_histogram_bins_flag(tmp_path, capsys):
     (["baseline", "--m", "0", "--n", "3"], "m must be a positive integer"),
     (["baseline", "--m", "3", "--n", "3", "--statistic", "quantile=x"],
      "malformed quantile in --statistic 'quantile=x'"),
+    # the baseline is exact: it has no trials to draw and no seed
+    (["baseline", "--m", "3", "--n", "3", "--trials", "200", "--seed", "1"],
+     "unrecognized arguments: --trials 200 --seed 1"),
 ])
 def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
     monkeypatch.chdir(tmp_path)
@@ -205,7 +208,7 @@ def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
 
 @pytest.mark.parametrize("command,message", [
     # audit checks its flags under their own names; baseline reports the
-    # message of the monte_carlo_baseline rule that rejects the value
+    # message of the exact_baseline rule that rejects the value
     (["audit", "absent.csv", "--confidence", "1"], "--confidence must be in (0, 1), got 1.0"),
     (["audit", "absent.csv", "--fpr-target", "-0.5"],
      "--fpr-target must be in [0, 1], got -0.5"),
@@ -213,10 +216,6 @@ def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
      "--histogram-bins must be a positive integer, got -2"),
     (["baseline", "--m", "0", "--n", "3"], "m must be a positive integer, got 0"),
     (["baseline", "--m", "3", "--n", "0"], "n must be a positive integer, got 0"),
-    (["baseline", "--m", "3", "--n", "3", "--trials", "0"],
-     "trials must be a positive integer, got 0"),
-    (["baseline", "--m", "3", "--n", "3", "--seed", "-1"],
-     "seed must be a non-negative integer, got -1"),
     (["baseline", "--m", "3", "--n", "3", "--statistic", "quantile=1.5"],
      "q must be in (0, 1), got 1.5"),
 ])
@@ -240,11 +239,9 @@ def test_render_value_error_is_not_a_flag_error(tmp_path, monkeypatch):
         main(["audit", path, "--out", "md"])
 
 
-@pytest.mark.parametrize("command", [
-    ["baseline", "--m", "3", "--n", "3", "--seed", "-1"],
-    ["simulate", "--mu", "1", "--m", "3", "--n", "3", "--seed", "-1", "--out-file", "x.csv"],
-])
-def test_negative_seed_exits_two_without_traceback(tmp_path, command):
+def test_negative_seed_exits_two_without_traceback(tmp_path):
+    command = ["simulate", "--mu", "1", "--m", "3", "--n", "3", "--seed", "-1",
+               "--out-file", "x.csv"]
     src = str(Path(canaudit.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-m", "canaudit.cli", *command], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
@@ -255,27 +252,19 @@ def test_negative_seed_exits_two_without_traceback(tmp_path, command):
 
 
 def test_baseline_mean_output(capsys):
-    assert main(["baseline", "--m", "10", "--n", "1000000",
-                 "--statistic", "mean", "--trials", "5", "--seed", "1"]) == 0
+    assert main(["baseline", "--m", "10", "--n", "1000000", "--statistic", "mean"]) == 0
     out = capsys.readouterr().out
     assert "exact" in out and "1.4426" in out
+    # the mean's null quantiles have no closed form: only its mean and std print
+    assert "exact std:" in out and "quantile" not in out
 
 
 def test_baseline_quantile_output(capsys):
-    assert main(["baseline", "--m", "100", "--n", "100",
-                 "--statistic", "quantile=0.75", "--trials", "20"]) == 0
+    assert main(["baseline", "--m", "100", "--n", "100", "--statistic", "quantile=0.75"]) == 0
     out = capsys.readouterr().out
-    assert "asymptotic:  2.0" in out
-
-
-def test_baseline_deterministic_output(capsys):
-    args = ["baseline", "--m", "50", "--n", "50", "--statistic", "mean",
-            "--trials", "30", "--seed", "12"]
-    assert main(args) == 0
-    first = capsys.readouterr().out
-    assert main(args) == 0
-    second = capsys.readouterr().out
-    assert first == second
+    assert "asymptotic:  2.0" in out and "exact:" in out and "exact std:" in out
+    assert [line.split(":")[0].strip() for line in out.splitlines() if "null" in line] == [
+        f"null quantile {p:g}" for p in (0.05, 0.25, 0.5, 0.75, 0.95)]
 
 
 def test_roc_command_stdout(tmp_path, capsys):
@@ -358,8 +347,8 @@ def test_audit_leaves_scipy_unloaded(tmp_path):
             "for statistic in ('mean', 'quantile=0.5'):\n"
             "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
             "        assert main(['baseline', '--m', '30', '--n', '40',\n"
-            "                     '--statistic', statistic, '--trials', '20']) == 0\n"
-            "    assert 'monte carlo' in text.getvalue()\n"
+            "                     '--statistic', statistic]) == 0\n"
+            "    assert '  exact std:   ' in text.getvalue()\n"
             "    print(statistic,\n"
             "          sorted(name for name in sys.modules if name.startswith('scipy')))\n")
     assert _run_in_fresh_interpreter(code).splitlines() == [

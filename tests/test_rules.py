@@ -9,21 +9,20 @@ import numpy as np
 import pytest
 
 from canaudit import (AuditDataset, DatasetError, GaussianShiftModel, audit_pipeline,
-                      clopper_pearson, epsilon_from_median_exposure, epsilon_point,
-                      exposure_quantile, group_privacy_adjust, monte_carlo_baseline,
-                      operating_points, quantile_p_value, rank, threshold_attack)
+                      build_report, clopper_pearson, epsilon_from_median_exposure,
+                      epsilon_point, exposure_quantile, group_privacy_adjust, operating_points,
+                      quantile_p_value, rank, render_markdown, threshold_attack)
 from conftest import make_dataset
 
 _D = make_dataset([1.0, 2.0], [1.5, 3.0])
 
 
 def _seed_cases():
-    entries = (lambda s: GaussianShiftModel(mu=1.0, sigma=1.0, m=3, n=3, seed=s),
-               lambda s: monte_carlo_baseline(3, 3, "mean", 10, s))
-    for entry, name in zip(entries, ("GaussianShiftModel", "monte_carlo_baseline")):
-        for seed in (1.5, True, -1):
-            yield pytest.param(entry, seed, f"seed must be a non-negative integer, got {seed!r}",
-                               id=f"{name}-seed={seed!r}")
+    def entry(seed):
+        return GaussianShiftModel(mu=1.0, sigma=1.0, m=3, n=3, seed=seed)
+    for seed in (1.5, True, -1):
+        yield pytest.param(entry, seed, f"seed must be a non-negative integer, got {seed!r}",
+                           id=f"GaussianShiftModel-seed={seed!r}")
 
 
 def _k_cases():
@@ -34,6 +33,15 @@ def _k_cases():
                            id=f"clopper_pearson-k={k!r}")
     yield pytest.param(entry, 11, "k must be in [0, trials], got k=11, trials=10",
                        id="clopper_pearson-k=11")
+
+
+def _row_limit_cases():
+    def entry(limit):
+        return render_markdown(build_report(_D, audit_pipeline(_D)), limit)
+    for limit in (-1, 2.5, True):
+        yield pytest.param(entry, limit,
+                           f"max_canary_rows must be a non-negative integer, got {limit!r}",
+                           id=f"render_markdown-max_canary_rows={limit!r}")
 
 
 def _n_cases():
@@ -107,6 +115,16 @@ def _column_cases():
     yield pytest.param(lambda c: AuditDataset(c, [1.0]), [[1.0], [1.0, 2.0]],
                        "canary losses must be 1-D, got a ragged sequence",
                        id="canary-losses-ragged")
+    # a bool among numbers in a list or tuple is not read as 1 or 0
+    for entry, values, name in (
+            (lambda c: AuditDataset(c, [1.0]), [True, 1.5], "canary losses"),
+            (lambda c: AuditDataset(c, [1.0]), (1.5, np.True_), "canary losses"),
+            (lambda e: exposure_quantile(e, 0.5), [True, 2.0], "exposures"),
+            (lambda r: quantile_p_value(r, 5, 0.5), [True, 2], "ranks")):
+        bad = next(value for value in values if isinstance(value, (bool, np.bool_)))
+        yield pytest.param(entry, values,
+                           f"an element of {name} must be a real number, got {bad!r}",
+                           id=f"{name.replace(' ', '-')}-bool-in-{type(values).__name__}")
     yield pytest.param(lambda r: rank(1.0, r), ["0.5", "2.0"],
                        "reference_losses must be real numbers, got dtype <U3",
                        id="rank-reference_losses-text")
@@ -125,8 +143,8 @@ def _column_cases():
 
 
 @pytest.mark.parametrize("entry,value,message",
-                         [*_seed_cases(), *_k_cases(), *_n_cases(), *_point_cases(),
-                          *_real_cases(), *_column_cases()])
+                         [*_seed_cases(), *_k_cases(), *_row_limit_cases(), *_n_cases(),
+                          *_point_cases(), *_real_cases(), *_column_cases()])
 def test_input_rule_rejects_with_its_one_message(entry, value, message):
     with pytest.raises(ValueError) as exc:
         entry(value)
