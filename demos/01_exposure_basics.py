@@ -43,13 +43,12 @@ def main():
     print(f"  mean exposure   {report.mean_exposure:.4f}")
     print(f"  median exposure {report.quantile_exposures[0.5]:.4f}")
     print()
-    print("Ties: a canary whose loss equals reference losses is ranked")
-    print("pessimistically by default (ties counted as smaller references),")
-    print("so reported exposure never overstates memorization:")
+    print("Ties: references whose loss equals the canary's count against it,")
+    print("as if they were smaller. Ties only raise ranks, so on rounded or")
+    print("bf16 losses exposure and p-values never overstate memorization:")
     tied_refs = [1.0, 2.0, 2.0, 3.0]
-    print(f"  refs {tied_refs}, loss 2.0 -> "
-          f"pessimistic {exposure_of(2.0, tied_refs, 'pessimistic'):+.4f}, "
-          f"optimistic {exposure_of(2.0, tied_refs, 'optimistic'):+.4f}")
+    print(f"  refs {tied_refs}, loss 2.0 -> rank {rank(2.0, tied_refs)} "
+          f"(1 + three references <= 2.0), exposure {exposure_of(2.0, tied_refs):+.4f}")
 
 
 if __name__ == "__main__":

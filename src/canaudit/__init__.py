@@ -38,7 +38,6 @@ from .baseline import (
     quantile_p_value,
 )
 from .exposure import (
-    TIE_POLICIES,
     ExposureReport,
     exposure_all,
     exposure_of,
@@ -67,7 +66,6 @@ __all__ = [
     "INDEPENDENCE_NOTICE",
     "MIResult",
     "RocCurve",
-    "TIE_POLICIES",
     "analytic_operating_point",
     "audit_pipeline",
     "baseline_quantile_exposure",

@@ -10,8 +10,9 @@ counts. The ``median`` point thresholds at the lower-median canary loss
 and counts losses strictly below it, so its TPR is (ceil(m/2) - 1)/m
 when no other canary ties that loss (less when one does), not 1/2.
 Exposure gives the paper's reading of the same ratio,
-ln(2) * (median exposure - 1); it depends on the tie policy, so the
-report keeps it next to the exposure statistics, and no bound uses it.
+ln(2) * (median exposure - 1); it is a function of the ranks alone, not a
+confidence bound, so the report keeps it next to the exposure statistics
+and no bound uses it.
 
 Empirical rates carry sampling error, so point estimates are paired with
 confidence-corrected bounds: one-sided Clopper-Pearson intervals on TPR
@@ -83,7 +84,6 @@ class AuditResult:
     exposure_report: ExposureReport
     outcomes: tuple[AuditOutcome, ...]
     confidence: float
-    tie_policy: str
 
     def bounds(self) -> list[EpsilonBound]:
         return [bound for outcome in self.outcomes
@@ -110,7 +110,8 @@ def epsilon_from_median_exposure(exposure_median: float) -> float:
     """The paper's exposure reading of epsilon, ln(2) * (exposure - 1).
 
     A median exposure of 1 (the random-guessing baseline) maps to zero.
-    It depends on the tie policy, so no bound uses it.
+    It is read from the ranks with no sampling correction, so it is not a
+    confidence bound and no bound uses it.
     """
     return LN2 * (_real(exposure_median, "exposure_median", finite=True) - 1.0)
 
@@ -233,19 +234,17 @@ def audit_pipeline(
     d: AuditDataset,
     operating_points=("median",),
     confidence: float = 0.95,
-    tie_policy: str = "pessimistic",
 ) -> AuditResult:
     """Exposure report plus epsilon bounds at each requested operating point.
 
     ``attack.operating_points`` says what a point is and evaluates them
     all. Every bound is ``epsilon_confident`` at its own attack's counts,
-    so no bound depends on ``tie_policy``, which only sets the exposure
-    report's ranks. When canaries were replicated, a per-example bound
-    divided by the replication count accompanies the raw one. Outcomes
-    appear in request order.
+    not at the exposure report's ranks. When canaries were replicated, a
+    per-example bound divided by the replication count accompanies the
+    raw one. Outcomes appear in request order.
     """
     _unit_interval(confidence, "confidence")
-    report = exposure_all(d, tie_policy)
+    report = exposure_all(d)
     points = _sequence(operating_points, "operating points")  # labelled and evaluated: read once
     outcomes = []
     for op, mi in zip(points, attack.operating_points(d, points)):
@@ -262,9 +261,4 @@ def audit_pipeline(
         per_example_bound = _per_example(bound) if d.replications > 1 else None
         outcomes.append(AuditOutcome(operating_point=label, mi=mi, bound=bound,
                                      per_example_bound=per_example_bound, warning=warning))
-    return AuditResult(
-        exposure_report=report,
-        outcomes=tuple(outcomes),
-        confidence=confidence,
-        tie_policy=tie_policy,
-    )
+    return AuditResult(exposure_report=report, outcomes=tuple(outcomes), confidence=confidence)

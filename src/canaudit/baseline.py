@@ -126,12 +126,11 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
     so every interleaving of their losses is equally likely. The q-quantile
     exposure is that of the k-th smallest rank r, k = m - ceil(q*m) + 1, and
     it is reached exactly when at least k canaries lie among the k + r - 1
-    smallest losses: p = P(Hypergeom(m + n, m, k + r - 1) >= k). Ties ranked
-    pessimistically only raise ranks, so p is conservative; optimistic ranks
-    make it invalid on tied losses. The tail is summed from its largest
-    term by the ratio of neighbouring terms, with no lgamma per term, until
-    the rest cannot change the double result, so the cost is O(sd) terms,
-    not O(m + n); a p below the smallest float reads 0.
+    smallest losses: p = P(Hypergeom(m + n, m, k + r - 1) >= k). Ties only
+    raise ranks, so p is conservative on tied losses. The tail is summed
+    from its largest term by the ratio of neighbouring terms, with no lgamma
+    per term, until the rest cannot change the double result, so the cost
+    is O(sd) terms, not O(m + n); a p below the smallest float reads 0.
     """
     _unit_interval(q, "q")
     n = _positive_integer(n, "n")

@@ -15,7 +15,6 @@ from pathlib import Path
 from .attack import roc, roc_to_csv
 from .audit import audit_pipeline
 from .baseline import exact_baseline
-from .exposure import TIE_POLICIES
 from .ingest import (DatasetError, _positive_integer, _unit_interval, parse_dataset,
                      serialize_dataset)
 from .report import build_report, render_csv, render_json, render_markdown
@@ -62,8 +61,7 @@ def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.histogram_bins is not None:
         _flag_checked(parser, _positive_integer, args.histogram_bins, "--histogram-bins")
     d = _load_dataset(args)
-    result = audit_pipeline(d, ["median", *args.fpr_target], confidence=args.confidence,
-                            tie_policy=args.tie_policy)
+    result = audit_pipeline(d, ["median", *args.fpr_target], confidence=args.confidence)
     document = build_report(d, result, histogram_bins=args.histogram_bins)
     renderer = {"json": render_json, "md": render_markdown, "csv": render_csv}[args.out]
     sys.stdout.write(renderer(document))
@@ -114,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="confidence level for epsilon bounds (default 0.95)")
     audit.add_argument("--fpr-target", type=float, action="append", default=[],
                        metavar="FPR", help="extra low-FPR operating point (repeatable)")
-    audit.add_argument("--tie-policy", choices=list(TIE_POLICIES),
-                       default="pessimistic")
     audit.add_argument("--out", choices=["json", "md", "csv"], default="json",
                        help="report rendering (default json)")
     audit.add_argument("--histogram-bins", type=int, default=None,

@@ -1,7 +1,7 @@
 """Rank and exposure of canaries against a reference loss set.
 
-A canary's rank is 1 plus the number of references with smaller loss, so
-it runs from 1 (below every reference) to n+1 (above every reference).
+A canary's rank is 1 + #{references with loss <= the canary's}, so it
+runs from 1 (below every reference) to n+1 (at or above every reference).
 Exposure rescales rank to bits:
 
     exposure = log2(n) - log2(rank)
@@ -9,10 +9,10 @@ Exposure rescales rank to bits:
 which is maximal, log2(n), at rank 1 and slightly negative,
 log2(n) - log2(n+1), at rank n+1.
 
-Ties between a canary loss and reference losses are resolved by policy:
-``pessimistic`` counts tied references as smaller (inflating rank and
-deflating exposure, so leakage is never over-claimed), ``optimistic``
-counts them as larger. Pessimistic is the default everywhere.
+A reference that ties the canary's loss counts against the canary. Ties
+only raise ranks, so exposure and the p-values read from ranks stay
+conservative on tied (rounded, bf16) losses: leakage is never
+over-claimed.
 
 ``exposure_all`` returns every canary's rank and exposure as arrays, in
 canary order.
@@ -26,16 +26,6 @@ from math import ceil
 import numpy as np
 
 from .ingest import AuditDataset, _column, _real, _unit_interval
-
-TIE_POLICIES = ("pessimistic", "optimistic")
-
-
-def _searchsorted_side(tie_policy: str) -> str:
-    if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
-    # 'right' counts references <= loss, 'left' counts references < loss.
-    return "right" if tie_policy == "pessimistic" else "left"
-
 
 @dataclass(frozen=True, eq=False)
 class ExposureReport:
@@ -61,21 +51,16 @@ def _exposure(ranks, n: int):
     return np.log2(n) - np.log2(ranks)
 
 
-def rank(loss: float, reference_losses, tie_policy: str = "pessimistic") -> int:
-    """Rank of a loss among sorted reference losses, in [1, n+1].
-
-    ``reference_losses`` must be sorted ascending. Pessimistic ranking
-    counts references with loss <= the canary's; optimistic counts only
-    strictly smaller references. A non-finite loss has no rank.
-    """
+def rank(loss: float, reference_losses) -> int:
+    """Rank of a loss among reference losses, in [1, n+1]: 1 plus the
+    number of references with loss <= it. A non-finite loss has no rank."""
     loss = _real(loss, "loss", finite=True)
-    side = _searchsorted_side(tie_policy)
-    return int(np.searchsorted(_column(reference_losses, "reference_losses"), loss, side=side)) + 1
+    return int(np.count_nonzero(_column(reference_losses, "reference_losses") <= loss)) + 1
 
 
-def exposure_of(loss: float, reference_losses, tie_policy: str = "pessimistic") -> float:
-    """Exposure in bits of a loss against sorted reference losses."""
-    return float(_exposure(rank(loss, reference_losses, tie_policy), len(reference_losses)))
+def exposure_of(loss: float, reference_losses) -> float:
+    """Exposure in bits of a loss against reference losses."""
+    return float(_exposure(rank(loss, reference_losses), len(reference_losses)))
 
 
 def exposure_quantile(exposures, q: float) -> float:
@@ -90,15 +75,14 @@ def exposure_quantile(exposures, q: float) -> float:
     return float(np.partition(values, k)[k])
 
 
-def exposure_all(d: AuditDataset, tie_policy: str = "pessimistic") -> ExposureReport:
+def exposure_all(d: AuditDataset) -> ExposureReport:
     """Rank and exposure of every canary in a dataset, with aggregates.
 
     References are sorted once and each canary is ranked by binary
     search, so the whole report costs O((m+n) log n).
     """
-    side = _searchsorted_side(tie_policy)
     refs = d.sorted_reference_losses
-    ranks = np.searchsorted(refs, d.canary_losses, side=side) + 1
+    ranks = np.searchsorted(refs, d.canary_losses, side="right") + 1
     exposures = _exposure(ranks, refs.size)
     quantiles = {q: exposure_quantile(exposures, q) for q in (0.5, 0.75)}
     return ExposureReport(

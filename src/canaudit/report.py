@@ -18,10 +18,10 @@ dataset writer's rule (``ingest._csv_field``).
 
 Each ``baselines`` row holds an exposure aggregate, its ``exact``
 (finite-n, mean only) and ``asymptotic`` random-guessing values, and a
-``p_value`` under the permutation null (``baseline.quantile_p_value``).
-Pessimistic ties make the p-value conservative; with optimistic ties it
-is not valid on tied losses. The mean has none: its null has no closed
-form, and a normal approximation rejects too often at small m.
+``p_value`` under the permutation null (``baseline.quantile_p_value``),
+conservative on tied losses because ties raise ranks. The mean has none:
+its null has no closed form, and a normal approximation rejects too
+often at small m.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .exposure import ExposureReport, _exposure
 from .ingest import (AuditDataset, _csv_field, _csv_text, _non_negative_integer, _positive_integer,
                      dataset_summary)
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 def _histogram(exposures: np.ndarray, n: int, bins: int | None) -> dict:
@@ -96,7 +96,6 @@ def build_report(
         "dataset": dataset_summary(d),
         "parameters": {
             "confidence": result.confidence,
-            "tie_policy": result.tie_policy,
             "operating_points": [o.operating_point for o in result.outcomes],
         },
         "exposure": {
@@ -175,8 +174,7 @@ def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
            ([row["statistic"] if row["q"] is None else f"quantile {_fmt(row['q'])}",
              _fmt(row["observed"]), _opt(row["exact"]), _fmt(row["asymptotic"]),
              _opt(row["p_value"])] for row in document["baselines"]))
-    out.write("\nepsilon from median exposure, ln(2) * (median exposure - 1), "
-              f"tie policy {document['parameters']['tie_policy']}: "
+    out.write("\nepsilon from median exposure, ln(2) * (median exposure - 1): "
               f"{_fmt(document['exposure']['epsilon_from_median_exposure'])}\n")
 
     out.write("\n## Epsilon lower bounds\n\n")

@@ -77,15 +77,13 @@ def json_dumps_serialize(d: AuditDataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def brute_rank(loss, reference_losses, tie_policy):
-    if tie_policy == "pessimistic":
-        return 1 + sum(1 for r in reference_losses if r <= loss)
-    return 1 + sum(1 for r in reference_losses if r < loss)
+def brute_rank(loss, reference_losses):
+    return 1 + sum(1 for r in reference_losses if r <= loss)
 
 
-def brute_exposure(loss, reference_losses, tie_policy):
+def brute_exposure(loss, reference_losses):
     n = len(reference_losses)
-    r = brute_rank(loss, reference_losses, tie_policy)
+    r = brute_rank(loss, reference_losses)
     return float(np.log2(n) - np.log2(r))
 
 

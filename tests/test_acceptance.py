@@ -119,11 +119,10 @@ def test_criterion_05_brute_force_oracle_equivalence():
     for _ in range(1000):
         d = random_instance(rng, max_size=50)
         refs = d.reference_losses.tolist()
-        for policy in ("pessimistic", "optimistic"):
-            report = exposure_all(d, policy)
-            for i, loss in enumerate(d.canary_losses.tolist()):
-                ok = ok and report.ranks[i] == brute_rank(loss, refs, policy)
-                ok = ok and report.exposures[i] == brute_exposure(loss, refs, policy)
+        report = exposure_all(d)
+        for i, loss in enumerate(d.canary_losses.tolist()):
+            ok = ok and report.ranks[i] == brute_rank(loss, refs)
+            ok = ok and report.exposures[i] == brute_exposure(loss, refs)
         points = roc(d)
         expected = brute_roc(d)
         ok = ok and len(points) == len(expected)

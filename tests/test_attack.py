@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from canaudit import (
-    exposure_all,
     operating_points,
     roc,
     roc_to_csv,
@@ -171,14 +170,15 @@ def test_operating_points_count_at_their_own_thresholds():
                 assert (mi.canary_hits, mi.reference_hits) == expected
 
 
-def test_attack_fpr_matches_optimistic_exposure_fpr():
+def test_attack_fpr_counts_references_strictly_below_the_threshold():
     rng = np.random.default_rng(41)
     for _ in range(30):
         d = random_instance(rng, tie_prob=1.0)
-        report = exposure_all(d, "optimistic")
-        for loss, empirical_fpr in zip(d.canary_losses, report.empirical_fprs):
+        refs = d.reference_losses.tolist()
+        for loss in d.canary_losses.tolist():
+            below = sum(1 for r in refs if r < loss)
             mi = threshold_attack(d, loss)
-            assert mi.fpr == empirical_fpr
+            assert (mi.reference_hits, mi.fpr) == (below, below / d.n)
 
 
 def test_null_symmetry_of_rates():

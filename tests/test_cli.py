@@ -197,6 +197,9 @@ def test_audit_histogram_bins_flag(tmp_path, capsys):
     # the baseline is exact: it has no trials to draw and no seed
     (["baseline", "--m", "3", "--n", "3", "--trials", "200", "--seed", "1"],
      "unrecognized arguments: --trials 200 --seed 1"),
+    # ties always count against the canary: there is no policy to pick
+    (["audit", "absent.csv", "--tie-policy", "optimistic"],
+     "unrecognized arguments: --tie-policy optimistic"),
 ])
 def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
     monkeypatch.chdir(tmp_path)
@@ -325,9 +328,9 @@ def test_import_and_roc_leave_scipy_unloaded(tmp_path):
 
 
 def test_audit_leaves_scipy_unloaded(tmp_path):
-    # bounds and p-values use the standard library: no output format, tie
-    # policy or operating point of an audit imports scipy, and neither does
-    # the baseline of either statistic
+    # bounds and p-values use the standard library: no output format or
+    # operating point of an audit imports scipy, and neither does the
+    # baseline of either statistic
     import numpy as np
 
     rng = np.random.default_rng(73)
@@ -336,14 +339,11 @@ def test_audit_leaves_scipy_unloaded(tmp_path):
     code = ("import contextlib, io, sys\n"
             "from canaudit.cli import main\n"
             "for out in ('json', 'md', 'csv'):\n"
-            "    for tie_policy in ('pessimistic', 'optimistic'):\n"
-            "        with contextlib.redirect_stdout(io.StringIO()) as text:\n"
-            f"            assert main(['audit', {path!r}, '--out', out,\n"
-            "                         '--tie-policy', tie_policy, '--fpr-target', '0',\n"
-            "                         '--fpr-target', '0.001', '--fpr-target', '1']) == 0\n"
-            "        assert text.getvalue()\n"
-            "        print(out, tie_policy,\n"
-            "              sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+            f"        assert main(['audit', {path!r}, '--out', out, '--fpr-target', '0',\n"
+            "                     '--fpr-target', '0.001', '--fpr-target', '1']) == 0\n"
+            "    assert text.getvalue()\n"
+            "    print(out, sorted(name for name in sys.modules if name.startswith('scipy')))\n"
             "for statistic in ('mean', 'quantile=0.5'):\n"
             "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
             "        assert main(['baseline', '--m', '30', '--n', '40',\n"
@@ -352,8 +352,7 @@ def test_audit_leaves_scipy_unloaded(tmp_path):
             "    print(statistic,\n"
             "          sorted(name for name in sys.modules if name.startswith('scipy')))\n")
     assert _run_in_fresh_interpreter(code).splitlines() == [
-        f"{out} {tie_policy} []" for out in ("json", "md", "csv")
-        for tie_policy in ("pessimistic", "optimistic")] + ["mean []", "quantile=0.5 []"]
+        f"{out} []" for out in ("json", "md", "csv")] + ["mean []", "quantile=0.5 []"]
 
 
 def test_simulate_writes_loadable_file(tmp_path, capsys):

@@ -18,10 +18,21 @@ def test_rank_above_all_references():
     assert rank(1000.0, refs) == 101
 
 
-def test_rank_tie_policies():
-    refs = [1.0, 2.0, 3.0]
-    assert rank(2.0, refs, "pessimistic") == 3
-    assert rank(2.0, refs, "optimistic") == 2
+def test_rank_counts_tied_references_against_the_canary():
+    refs = [1.0, 2.0, 2.0, 3.0]
+    assert rank(2.0, refs) == 4
+    assert exposure_of(2.0, refs) == 0.0  # log2(4) - log2(4)
+
+
+def test_rank_and_exposure_take_unsorted_references():
+    rng = np.random.default_rng(23)
+    refs = rng.integers(-5, 6, size=40) / 2.0
+    for loss in np.linspace(-3.0, 3.0, 25).tolist():
+        shuffled = rng.permutation(refs)
+        assert rank(loss, shuffled) == brute_rank(loss, refs.tolist())
+        assert exposure_of(loss, shuffled) == brute_exposure(loss, refs.tolist())
+    assert rank(1.0, [3.0, 0.0]) == 2
+    assert exposure_of(1.0, [3.0, 0.0]) == 0.0
 
 
 def test_rank_rejects_empty_references():
@@ -36,11 +47,6 @@ def test_rank_and_exposure_reject_non_finite_loss(loss):
         rank(loss, [1.0, 2.0])
     with pytest.raises(ValueError, match="loss must be finite"):
         exposure_of(loss, [1.0, 2.0])
-
-
-def test_rank_rejects_unknown_policy():
-    with pytest.raises(ValueError, match="tie_policy"):
-        rank(1.0, [1.0], "hopeful")
 
 
 def test_exposure_rank_one_is_log2_n():
@@ -115,9 +121,8 @@ def test_exposure_monotone_in_loss():
     for _ in range(20):
         refs = np.sort(rng.integers(-4, 5, size=9) / 2.0)
         losses = np.sort(rng.uniform(-3, 3, size=15))
-        for policy in ("pessimistic", "optimistic"):
-            exposures = [exposure_of(loss, refs, policy) for loss in losses]
-            assert all(a >= b for a, b in zip(exposures, exposures[1:]))
+        exposures = [exposure_of(loss, refs) for loss in losses]
+        assert all(a >= b for a, b in zip(exposures, exposures[1:]))
 
 
 def test_exposure_range_endpoints():
@@ -136,14 +141,13 @@ def test_exposure_all_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(100):
         d = random_instance(rng)
-        for policy in ("pessimistic", "optimistic"):
-            report = exposure_all(d, policy)
-            refs = d.reference_losses.tolist()
-            for i, loss in enumerate(d.canary_losses.tolist()):
-                rank = int(report.ranks[i])
-                assert rank == brute_rank(loss, refs, policy)
-                assert report.exposures[i] == brute_exposure(loss, refs, policy)
-                assert report.empirical_fprs[i] == (rank - 1) / d.n
+        report = exposure_all(d)
+        refs = d.reference_losses.tolist()
+        for i, loss in enumerate(d.canary_losses.tolist()):
+            rank = int(report.ranks[i])
+            assert rank == brute_rank(loss, refs)
+            assert report.exposures[i] == brute_exposure(loss, refs)
+            assert report.empirical_fprs[i] == (rank - 1) / d.n
 
 
 def test_exposure_fpr_identity():
@@ -158,16 +162,6 @@ def test_exposure_fpr_identity():
                 continue
             gap = abs(exposure - math.log2(1.0 / fpr))
             assert gap == pytest.approx(math.log2(rank / (rank - 1)), rel=1e-12)
-
-
-def test_pessimistic_never_exceeds_optimistic():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        d = random_instance(rng, tie_prob=1.0)
-        pess = exposure_all(d, "pessimistic")
-        opt = exposure_all(d, "optimistic")
-        for a, b in zip(pess.exposures, opt.exposures):
-            assert a <= b
 
 
 def test_identical_multisets_give_median_exposure_near_one():

@@ -11,7 +11,6 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from canaudit import (
-    TIE_POLICIES,
     AuditDataset,
     DatasetError,
     audit_pipeline,
@@ -39,66 +38,46 @@ tie_prone_losses = st.lists(
 OPERATING_POINTS = ("median", 0.0, 0.1, 0.5, 1.0)
 
 
-@given(tie_prone_losses, tie_prone_losses, st.sampled_from(TIE_POLICIES), st.data())
-def test_aggregates_and_rows_are_permutation_invariant(canaries, references,
-                                                       tie_policy, data):
+@given(tie_prone_losses, tie_prone_losses, st.data())
+def test_aggregates_and_rows_are_permutation_invariant(canaries, references, data):
     c_order = data.draw(st.permutations(range(len(canaries))))
     r_order = data.draw(st.permutations(range(len(references))))
     d = make_dataset(canaries, references)
     shuffled = make_dataset(np.array(canaries)[c_order], np.array(references)[r_order])
 
-    report = exposure_all(d, tie_policy)
-    again = exposure_all(shuffled, tie_policy)
+    report = exposure_all(d)
+    again = exposure_all(shuffled)
     assert again.quantile_exposures == report.quantile_exposures
     # the mean sums in another order, so it may differ in the last bits
     assert math.isclose(again.mean_exposure, report.mean_exposure,
                         rel_tol=1e-12, abs_tol=1e-12)
     assert again.exposures.tolist() == report.exposures[c_order].tolist()
 
-    rows, rows_again = (audit_pipeline(x, OPERATING_POINTS, tie_policy=tie_policy).outcomes
-                        for x in (d, shuffled))
+    rows, rows_again = (audit_pipeline(x, OPERATING_POINTS).outcomes for x in (d, shuffled))
     assert rows_again == rows
 
 
-@given(tie_prone_losses, tie_prone_losses, st.sampled_from(TIE_POLICIES),
-       st.sampled_from([0.5, 0.75]), st.data())
-def test_quantile_p_value_falls_as_canary_losses_fall(canaries, references, tie_policy,
-                                                      q, data):
+@given(tie_prone_losses, tie_prone_losses, st.sampled_from([0.5, 0.75]), st.data())
+def test_quantile_p_value_falls_as_canary_losses_fall(canaries, references, q, data):
     drops = data.draw(st.lists(st.floats(0.0, 10.0), min_size=len(canaries),
                                max_size=len(canaries)))
     lowered = np.array(canaries) - np.array(drops)
-    p, p_lowered = (quantile_p_value(exposure_all(make_dataset(c, references), tie_policy)
-                                     .ranks, len(references), q)
+    p, p_lowered = (quantile_p_value(exposure_all(make_dataset(c, references)).ranks,
+                                     len(references), q)
                     for c in (canaries, lowered))
     assert 0.0 < p_lowered <= p <= 1.0
 
 
 @given(tie_prone_losses, tie_prone_losses)
-def test_pessimistic_exposure_never_exceeds_optimistic(canaries, references):
-    d = make_dataset(canaries, references)
-    pessimistic = exposure_all(d, "pessimistic").exposures
-    optimistic = exposure_all(d, "optimistic").exposures
-    assert (pessimistic <= optimistic).all()
-
-
-@given(tie_prone_losses, tie_prone_losses)
-def test_audit_rows_do_not_depend_on_the_tie_policy(canaries, references):
-    d = make_dataset(canaries, references, replications=2)
-    pessimistic, optimistic = (audit_pipeline(d, OPERATING_POINTS, tie_policy=policy)
-                               for policy in TIE_POLICIES)
-    assert pessimistic.outcomes == optimistic.outcomes
-
-
-@given(tie_prone_losses, tie_prone_losses, st.sampled_from(TIE_POLICIES))
-@example([1.0], [0.5, 1.0, 2.0], "pessimistic")
-@example([0.5, 1.0, 1.0], [1.0], "optimistic")
+@example([1.0], [0.5, 1.0, 2.0])
+@example([0.5, 1.0, 1.0], [1.0])
 # at n = 1621, math.log2(n) - math.log2(rank) misses np.log2's bits for ranks 1-3
-@example([-1.0, 0.5, 1.5], [float(loss) for loss in range(1621)], "pessimistic")
-def test_rendered_exposures_are_the_arrays_bits(canaries, references, tie_policy):
+@example([-1.0, 0.5, 1.5], [float(loss) for loss in range(1621)])
+def test_rendered_exposures_are_the_arrays_bits(canaries, references):
     # the JSON stores ranks only; the Markdown and CSV derive each exposure
     d = make_dataset(canaries, references)
-    exposures = exposure_all(d, tie_policy).exposures.tolist()
-    document = build_report(d, audit_pipeline(d, tie_policy=tie_policy))
+    exposures = exposure_all(d).exposures.tolist()
+    document = build_report(d, audit_pipeline(d))
     md = render_markdown(document, max_canary_rows=d.m)
     md_rows = md[md.index("## Per-canary exposure"):].splitlines()[4:]
     assert [row.split(" | ")[3] for row in md_rows] == [json.dumps(e) for e in exposures]

@@ -9,7 +9,6 @@ import pytest
 
 from canaudit import (
     __version__,
-    TIE_POLICIES,
     GaussianShiftModel,
     audit_pipeline,
     build_report,
@@ -69,8 +68,8 @@ def test_json_is_strict_with_infinite_thresholds():
 
 def test_document_records_bound_context():
     _, document = _sample_document(replications=3)
-    assert document["schema_version"] == 6
-    assert document["parameters"]["tie_policy"] == "pessimistic"
+    assert document["schema_version"] == 7
+    assert list(document["parameters"]) == ["confidence", "operating_points"]
     for row in document["epsilon_bounds"]:
         assert row["confidence"] == 0.95
         assert row["replications"] == 3
@@ -286,7 +285,7 @@ def test_markdown_per_canary_table_golden():
 def test_markdown_rendering_golden():
     assert render_markdown(_golden_document()) == (
         "# Canary exposure audit\n\n"
-        f"tool version {__version__}, schema version 6\n\n"
+        f"tool version {__version__}, schema version 7\n\n"
         "## Dataset\n\n"
         "- canaries (m): 5\n"
         "- references (n): 4\n"
@@ -299,8 +298,7 @@ def test_markdown_rendering_golden():
         "| mean | 1.0830074998557688 | 0.6186218808782962 | 1.4426950408889634 | - |\n"
         "| quantile 0.5 | 1.0 | - | 1.0 | 0.3571428571428594 |\n"
         "| quantile 0.75 | 2.0 | - | 2.0 | 0.27777777777777946 |\n\n"
-        "epsilon from median exposure, ln(2) * (median exposure - 1), "
-        "tie policy pessimistic: 0.0\n\n"
+        "epsilon from median exposure, ln(2) * (median exposure - 1): 0.0\n\n"
         "## Epsilon lower bounds\n\n"
         "| operating point | per-example | point estimate | confident lower bound "
         "| confidence | tpr | fpr |\n"
@@ -349,28 +347,23 @@ def test_json_is_strict_when_the_loss_sum_overflows():
     assert summary["reference_loss"]["mean"] == -1.25e308
 
 
-def test_median_row_is_its_own_attack_under_both_tie_policies():
+def test_median_row_is_its_own_attack_on_tied_losses():
     # ties at the median canary loss: the median attack and the fpr 0.3
     # attack are the same point, threshold 1.0 with 1 canary and no
-    # reference below it; only the exposure-form number sees the tie policy
+    # reference below it; the tied references count against the median
+    # canary's rank (5 of 10 references), so the exposure form reads 0
     d = make_dataset([0.0, 1.0, 1.0, 1.0, 5.0],
                      [1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 6.0, 7.0, 8.0])
-    rows = {}
-    exposure_form = {}
-    for tie_policy in TIE_POLICIES:
-        result = audit_pipeline(d, operating_points=("median", 0.3), tie_policy=tie_policy)
-        document = _strict_loads(render_json(build_report(d, result)))
-        median, at_target = rows[tie_policy] = document["epsilon_bounds"]
-        for row in (median, at_target):
-            assert row["threshold"] == 1.0
-            assert (row["canary_hits"], row["reference_hits"]) == (1, 0)
-            assert (row["tpr"], row["fpr"]) == (0.2, 0.0)
-            assert row["point_estimate"] is None  # ln(0.2 / 0), infinite
-        assert {**median, "operating_point": None} == {**at_target, "operating_point": None}
-        exposure_form[tie_policy] = document["exposure"]["epsilon_from_median_exposure"]
-    assert rows["pessimistic"] == rows["optimistic"]
-    assert exposure_form["pessimistic"] == 0.0
-    assert exposure_form["optimistic"] == math.log(5.0)
+    result = audit_pipeline(d, operating_points=("median", 0.3))
+    document = _strict_loads(render_json(build_report(d, result)))
+    median, at_target = document["epsilon_bounds"]
+    for row in (median, at_target):
+        assert row["threshold"] == 1.0
+        assert (row["canary_hits"], row["reference_hits"]) == (1, 0)
+        assert (row["tpr"], row["fpr"]) == (0.2, 0.0)
+        assert row["point_estimate"] is None  # ln(0.2 / 0), infinite
+    assert {**median, "operating_point": None} == {**at_target, "operating_point": None}
+    assert document["exposure"]["epsilon_from_median_exposure"] == 0.0
 
 
 def test_markdown_per_canary_table_escapes_ids():
@@ -393,5 +386,5 @@ def test_markdown_shows_the_exposure_form_epsilon():
     value = document["exposure"]["epsilon_from_median_exposure"]
     median_exposure = document["exposure"]["quantile_exposures"]["0.5"]
     assert value == math.log(2.0) * (median_exposure - 1.0)
-    assert ("\nepsilon from median exposure, ln(2) * (median exposure - 1), "
-            f"tie policy pessimistic: {json.dumps(value)}\n") in render_markdown(document)
+    assert ("\nepsilon from median exposure, ln(2) * (median exposure - 1): "
+            f"{json.dumps(value)}\n") in render_markdown(document)
