@@ -10,6 +10,8 @@ Run: python demos/04_roc_and_low_fpr.py
 
 import json
 
+import numpy as np
+
 from canaudit import (
     GaussianShiftModel,
     audit_pipeline,
@@ -41,10 +43,16 @@ def main():
     print()
     print("=== full report document (plot-ready) ===")
     result = audit_pipeline(d, operating_points=("median", 0.01, 0.0001))
-    document = build_report(d, result, histogram_bins=12)
-    hist = document["histogram"]
-    peak = max(hist["counts"])
-    for lo, hi, count in zip(hist["bin_edges"], hist["bin_edges"][1:], hist["counts"]):
+    document = build_report(d, result)
+    # The document bins exposure at width 0.5; any other binning is one
+    # np.histogram over the exposures its ranks give, here 12 equal bins
+    # from the exposure of rank n+1 to that of rank 1.
+    n = document["exposure"]["n"]
+    exposures = np.log2(n) - np.log2(document["exposure"]["per_canary"]["rank"])
+    counts, edges = np.histogram(exposures, bins=12,
+                                 range=(np.log2(n) - np.log2(n + 1), np.log2(n)))
+    peak = max(counts)
+    for lo, hi, count in zip(edges, edges[1:], counts):
         bar = "#" * round(40 * count / peak)
         print(f"  [{lo:+7.3f}, {hi:+7.3f}) {count:>5}  {bar}")
     print()

@@ -1,9 +1,9 @@
 """Command-line interface: audit loss files, print exact baselines, simulate, ROC.
 
 Exit codes: 0 on success, 1 on a dataset parse/validation problem, an
-unreadable input or an unwritable output (diagnostic on stderr), 2 on
-invalid flags. Every flag is checked before the input is read, by the
-library rule that owns it and with that rule's message.
+unreadable input, an unwritable output or arrays that memory cannot hold
+(diagnostic on stderr), 2 on invalid flags. Every flag is checked before the
+input is read, by the library rule that owns it and with that rule's message.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from pathlib import Path
 from .attack import roc, roc_to_csv
 from .audit import audit_pipeline
 from .baseline import exact_baseline
-from .ingest import (DatasetError, _positive_integer, _unit_interval, parse_dataset,
-                     serialize_dataset)
+from .ingest import DatasetError, _unit_interval, parse_dataset, serialize_dataset
 from .report import build_report, render_csv, render_json, render_markdown
 from .simulate import GaussianShiftModel, simulate
 
@@ -58,11 +57,9 @@ def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     _flag_checked(parser, _unit_interval, args.confidence, "--confidence")
     for target in args.fpr_target:
         _flag_checked(parser, _unit_interval, target, "--fpr-target", closed=True)
-    if args.histogram_bins is not None:
-        _flag_checked(parser, _positive_integer, args.histogram_bins, "--histogram-bins")
     d = _load_dataset(args)
     result = audit_pipeline(d, ["median", *args.fpr_target], confidence=args.confidence)
-    document = build_report(d, result, histogram_bins=args.histogram_bins)
+    document = build_report(d, result)
     renderer = {"json": render_json, "md": render_markdown, "csv": render_csv}[args.out]
     sys.stdout.write(renderer(document))
     return 0
@@ -114,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FPR", help="extra low-FPR operating point (repeatable)")
     audit.add_argument("--out", choices=["json", "md", "csv"], default="json",
                        help="report rendering (default json)")
-    audit.add_argument("--histogram-bins", type=int, default=None,
-                       help="number of histogram bins (default: width-0.5 bins)")
     audit.set_defaults(func=_cmd_audit)
 
     baseline = sub.add_parser(
@@ -155,7 +150,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except (DatasetError, OSError) as exc:
+    except (DatasetError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -397,13 +397,37 @@ def _jsonl_block(block: str):
         return None
 
 
+def _block_columns(read_block, block: str, dedupe: bool):
+    """(losses, is_canary, dedupe) of a block, or None; ``_read_bulk`` says how it dedupes."""
+    inverse = None
+    if dedupe:
+        lines = block.split("\n")
+        distinct = dict.fromkeys(lines)
+        dedupe = 2 * len(distinct) <= len(lines)
+        if dedupe:
+            index = dict(zip(distinct, range(len(distinct))))
+            inverse = np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))
+            block = "\n".join(distinct)
+        del lines, distinct
+    parsed = read_block(block)
+    if parsed is None or not np.isfinite(parsed[0]).all():
+        return None
+    losses, roles = parsed
+    is_canary = np.fromiter(map("canary".__eq__, roles), bool, len(roles))
+    if inverse is not None:
+        losses, is_canary = losses[inverse], is_canary[inverse]
+    return losses, is_canary, dedupe
+
+
 def _read_bulk(text: str, format: str) -> AuditDataset | None:
     r"""The dataset of a file with only role and loss, read a block at a time.
 
     Returns None unless every line is one exactly spelled role and one
     finite loss that the line parser would read to the same float, and
     both roles occur; the line parser then reads the file and reports
-    what is wrong with it. A "\r\n" line end reads as "\n".
+    what is wrong with it. A "\r\n" line end reads as "\n", and a block
+    it rejects is read again without its empty lines, which both line
+    parsers skip.
 
     Each distinct line of a block is converted once, and ``inverse`` puts
     its loss and role back at every line that repeats it. This is sound
@@ -429,25 +453,12 @@ def _read_bulk(text: str, format: str) -> AuditDataset | None:
     canaries, references = [], []
     dedupe = True
     for i, block in enumerate(_blocks(text, start)):
-        inverse = None
-        if dedupe or i % 8 == 0:
-            lines = block.split("\n")
-            distinct = dict.fromkeys(lines)
-            dedupe = 2 * len(distinct) <= len(lines)
-            if dedupe:
-                index = dict(zip(distinct, range(len(distinct))))
-                inverse = np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))
-                block = "\n".join(distinct)
-            del lines, distinct
-        parsed = read_block(block)
-        if parsed is None:
+        probe = dedupe or i % 8 == 0
+        columns = (_block_columns(read_block, block, probe) or
+                   _block_columns(read_block, "\n".join(filter(None, block.split("\n"))), probe))
+        if columns is None:
             return None
-        losses, roles = parsed
-        if not np.isfinite(losses).all():
-            return None
-        is_canary = np.fromiter(map("canary".__eq__, roles), bool, len(roles))
-        if inverse is not None:
-            losses, is_canary = losses[inverse], is_canary[inverse]
+        losses, is_canary, dedupe = columns
         canaries.append(losses[is_canary])
         references.append(losses[~is_canary])
     if not (any(map(len, canaries)) and any(map(len, references))):

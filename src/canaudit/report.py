@@ -38,19 +38,15 @@ from .audit import INDEPENDENCE_NOTICE, AuditResult, epsilon_from_median_exposur
 from .baseline import (baseline_quantile_exposure, expected_exposure_asymptote,
                        expected_exposure_exact, quantile_p_value)
 from .exposure import ExposureReport, _exposure
-from .ingest import (AuditDataset, _csv_field, _csv_text, _non_negative_integer, _positive_integer,
-                     dataset_summary)
+from .ingest import AuditDataset, _csv_field, _csv_text, _non_negative_integer, dataset_summary
 
 SCHEMA_VERSION = 7
 
 
-def _histogram(exposures: np.ndarray, n: int, bins: int | None) -> dict:
-    # Exposure can only fall between those of ranks n+1 and 1.
+def _histogram(exposures: np.ndarray, n: int) -> dict:
+    # Width-0.5 bins from exposure(rank n+1), the least, up to or past exposure(rank 1).
     lo, hi = _exposure(np.array([n + 1, 1]), n)
-    if bins is None:  # width-0.5 bins
-        edges = lo + 0.5 * np.arange(max(1, math.ceil(2.0 * (hi - lo))) + 1)
-    else:
-        edges = np.linspace(lo, hi, _positive_integer(bins, "histogram_bins") + 1)
+    edges = lo + 0.5 * np.arange(max(1, math.ceil(2.0 * (hi - lo))) + 1)
     counts, _ = np.histogram(exposures, bins=edges)
     return {"bin_edges": edges.tolist(), "counts": counts.tolist()}
 
@@ -83,9 +79,7 @@ def _bound_rows(result: AuditResult) -> list[dict]:
             for bound in (outcome.bound, outcome.per_example_bound) if bound is not None]
 
 
-def build_report(
-    d: AuditDataset, result: AuditResult, histogram_bins: int | None = None
-) -> dict:
+def build_report(d: AuditDataset, result: AuditResult) -> dict:
     """Assemble the full audit report document as JSON-ready primitives."""
     report = result.exposure_report
     warnings = [INDEPENDENCE_NOTICE]
@@ -111,7 +105,7 @@ def build_report(
         "baselines": _baseline_rows(report),
         "epsilon_bounds": _bound_rows(result),
         "warnings": warnings,
-        "histogram": _histogram(report.exposures, d.n, histogram_bins),
+        "histogram": _histogram(report.exposures, d.n),
     }
 
 

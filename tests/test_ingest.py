@@ -328,6 +328,29 @@ def test_bulk_reader_reads_crlf_line_ends(format):
 
 
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_bulk_reader_skips_empty_lines(format):
+    # Both line parsers skip empty lines; the bulk reader reads a block again
+    # without them, so one empty line no longer sends a file to the line parser.
+    # Tied canaries, read a distinct line at a time, then distinct references.
+    canaries = np.random.default_rng(8).normal(size=3_000).round(1)
+    references = np.random.default_rng(9).normal(size=2_000)
+    d = make_dataset(canaries, references)
+    lines = serialize_dataset(d, format).split("\n")
+    start = 1 if format == "csv" else 0
+    for at in ([start], [start, 1000, len(lines) // 2, len(lines) - 1],
+               [len(lines) - 1], [len(lines) - 1] * 3):
+        with_empty = list(lines)
+        for i in sorted(at, reverse=True):
+            with_empty.insert(i, "")
+        for newline in ("\n", "\r\n"):
+            text = newline.join(with_empty)
+            with mock.patch.object(ingest, "_BLOCK_CHARS", 1 << 12):
+                bulk = ingest._read_bulk(text, format)
+            assert bulk is not None and _identical(bulk, d)
+            assert _identical(_line_parse(text, format), d)
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
 def test_byte_order_mark_is_skipped(format):
     d = make_dataset([1.5, -0.0], [2.5])
     text = serialize_dataset(d, format)

@@ -22,13 +22,13 @@ from canaudit import (
 from conftest import comb_quantile_p_value, make_dataset
 
 
-def _sample_document(replications=1, bins=None, ids=None):
+def _sample_document(replications=1, ids=None):
     rng = np.random.default_rng(61)
     d = make_dataset(rng.normal(-1.0, 1.0, size=40), rng.normal(size=50),
                      replications=replications,
                      ids=ids or [f"c{i}" for i in range(40)])
     result = audit_pipeline(d, operating_points=("median", 0.02))
-    return d, build_report(d, result, histogram_bins=bins)
+    return d, build_report(d, result)
 
 
 def test_json_round_trip_equality():
@@ -124,32 +124,13 @@ def test_histogram_default_bins():
     assert sum(hist["counts"]) == d.m
 
 
-def test_histogram_explicit_bins():
-    d, document = _sample_document(bins=7)
-    hist = document["histogram"]
-    assert len(hist["counts"]) == 7
-    assert len(hist["bin_edges"]) == 8
-    assert sum(hist["counts"]) == d.m
-
-
 @pytest.mark.parametrize("n", [1621, 7957])
-@pytest.mark.parametrize("bins", [None, 10])
-def test_histogram_keeps_canaries_at_both_extreme_ranks(n, bins):
+def test_histogram_keeps_canaries_at_both_extreme_ranks(n):
     # At these n, math.log2 and np.log2 differ by one ulp, so the edges
     # must come from exposure_all's np.log2 to hold ranks 1 and n+1.
     d = make_dataset([-1.0, 0.5, 2.0], np.linspace(0.0, 1.0, n))
-    document = build_report(d, audit_pipeline(d), histogram_bins=bins)
+    document = build_report(d, audit_pipeline(d))
     assert sum(document["histogram"]["counts"]) == d.m
-
-
-@pytest.mark.parametrize("bins", [0, -1, True, 2.0, np.float64(3.0)])
-def test_histogram_bins_must_be_a_positive_int(bins):
-    with pytest.raises(ValueError, match="histogram_bins must be a positive integer"):
-        _sample_document(bins=bins)
-
-
-def test_histogram_bins_may_be_a_numpy_integer():
-    assert _sample_document(bins=np.int64(7))[1] == _sample_document(bins=7)[1]
 
 
 def test_markdown_numbers_appear_verbatim_in_json():
