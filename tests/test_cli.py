@@ -195,6 +195,9 @@ def test_invalid_flags_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize("command,message", [
+    # the histogram always has width-0.5 bins; rebin from per_canary.rank
+    (["audit", "absent.csv", "--histogram-bins", "3"],
+     "unrecognized arguments: --histogram-bins 3"),
     # the file is absent: flags are checked before it is read
     (["audit", "absent.csv", "--fpr-target", "1.5"], "--fpr-target must be in [0, 1]"),
     (["baseline", "--m", "0", "--n", "3"], "m must be a positive integer"),
@@ -206,9 +209,6 @@ def test_invalid_flags_exit_two(tmp_path):
     # ties always count against the canary: there is no policy to pick
     (["audit", "absent.csv", "--tie-policy", "optimistic"],
      "unrecognized arguments: --tie-policy optimistic"),
-    # the histogram always has width-0.5 bins; rebin from per_canary.rank
-    (["audit", "absent.csv", "--histogram-bins", "3"],
-     "unrecognized arguments: --histogram-bins 3"),
 ])
 def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
     monkeypatch.chdir(tmp_path)
@@ -219,11 +219,13 @@ def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
 
 
 @pytest.mark.parametrize("command,message", [
-    # audit checks its flags under their own names; baseline reports the
-    # message of the exact_baseline rule that rejects the value
+    # audit checks its flags under their own names; baseline and simulate
+    # report the message of the library rule that rejects the value
     (["audit", "absent.csv", "--confidence", "1"], "--confidence must be in (0, 1), got 1.0"),
     (["audit", "absent.csv", "--fpr-target", "-0.5"],
      "--fpr-target must be in [0, 1], got -0.5"),
+    (["simulate", "--mu", "0", "--sigma", "0", "--m", "5", "--n", "5", "--out-file", "x.csv"],
+     "sigma must be finite and > 0, got 0.0"),
     (["baseline", "--m", "0", "--n", "3"], "m must be a positive integer, got 0"),
     (["baseline", "--m", "3", "--n", "0"], "n must be a positive integer, got 0"),
     (["baseline", "--m", "3", "--n", "3", "--statistic", "quantile=1.5"],

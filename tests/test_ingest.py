@@ -243,6 +243,16 @@ ERROR_CASES = [
      "line 2: replications must be an integer, got True"),
     ("jsonl", '{"role": "canary", "loss": 1, "replications": null}',
      "line 1: malformed replications None"),
+    # an empty first line is the CSV header, never an empty line to skip
+    ("csv", "\nrole,loss\ncanary,1.0\nreference,2.0\n",
+     "header: expected leading columns role,loss, got []"),
+    ("csv", "\r\nrole,loss\r\ncanary,1.0\r\nreference,2.0\r\n",
+     "header: expected leading columns role,loss, got []"),
+    # skipped empty lines still count in the line numbers of errors
+    ("csv", "role,loss\n\ncanary,1.0\n\ncanary,NaN\nreference,1.0\n",
+     "line 5: non-finite loss 'NaN'"),
+    ("jsonl", '{"role": "canary", "loss": 1.0}\r\n\r\n{"role": "reference", "loss": x}\r\n',
+     "line 3: malformed JSON (Expecting value)"),
 ]
 
 

@@ -133,6 +133,24 @@ def test_histogram_keeps_canaries_at_both_extreme_ranks(n):
     assert sum(document["histogram"]["counts"]) == d.m
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 1000])
+def test_histogram_has_the_fewest_width_half_bins_that_reach_log2_n(n):
+    # Canaries at ranks 1 and n+1 sit on the first and the last edge.
+    d = make_dataset([-1.0, 0.5, 2.0], np.linspace(0.0, 1.0, n))
+    edges, counts = build_report(d, audit_pipeline(d))["histogram"].values()
+    assert edges[0] == exposure_all(make_dataset([2.0], d.reference_losses)).exposures[0]
+    assert np.diff(edges).tolist() == [0.5] * len(counts)
+    assert edges[-2] < math.log2(n) <= edges[-1]
+    assert counts[0] >= 1 and counts[-1] >= 1 and sum(counts) == d.m
+
+
+def test_build_report_takes_no_histogram_bins():
+    # The binning is fixed; rebin the exposures of per_canary.rank instead.
+    d, _ = _sample_document()
+    with pytest.raises(TypeError, match="histogram_bins"):
+        build_report(d, audit_pipeline(d), histogram_bins=7)
+
+
 def test_markdown_numbers_appear_verbatim_in_json():
     _, document = _sample_document(replications=2)
     md = render_markdown(document)
