@@ -24,7 +24,7 @@ from canaudit import (
 
 
 def main():
-    d = simulate(GaussianShiftModel(mu=2.0, sigma=1.0, m=5000, n=5000, seed=3))
+    d = simulate(GaussianShiftModel(mu=2.0, m=5000, n=5000, seed=3))
 
     print("=== ROC sweep (CSV head) ===")
     points = roc(d)

@@ -85,8 +85,9 @@ class AuditResult:
     outcomes: tuple[AuditOutcome, ...]
     confidence: float
 
-    def bounds(self) -> list[EpsilonBound]:
-        return [bound for outcome in self.outcomes
+    def bounds(self) -> list[tuple[AuditOutcome, EpsilonBound]]:
+        """Each bound with its outcome, in the order of the report's rows."""
+        return [(outcome, bound) for outcome in self.outcomes
                 for bound in (outcome.bound, outcome.per_example_bound) if bound is not None]
 
 

@@ -73,21 +73,21 @@ def baseline_quantile_exposure(q: float) -> float:
     return -math.log2(1.0 - q)
 
 
-def exact_baseline(m: int, n: int, statistic: str, q: float | None = None) -> BaselineSummary:
-    """The exact null distribution of an exposure aggregate of m canaries.
+def exact_baseline(m: int, n: int, q: float | None = None) -> BaselineSummary:
+    """The exact null distribution of an exposure aggregate of m canaries:
+    the mean exposure if ``q`` is None, else the q-quantile exposure.
 
     Under the permutation null of ``quantile_p_value`` the mean exposure
-    (``"mean"``) has mean ``expected_exposure_exact(n)`` and the
-    Dirichlet-multinomial variance V (m + n + 1) / (m (n + 2)), V that of one
-    uniform rank's exposure. The q-quantile exposure (``"quantile"`` with
-    ``q``) is that of the k-th smallest rank, k = m - ceil(q m) + 1, whose
-    pmf gives its mean, std and quantiles.
+    has mean ``expected_exposure_exact(n)`` and the Dirichlet-multinomial
+    variance V (m + n + 1) / (m (n + 2)), V that of one uniform rank's
+    exposure. The q-quantile exposure is that of the k-th smallest rank,
+    k = m - ceil(q m) + 1, whose pmf gives its mean, std and quantiles.
     """
     m, n = _positive_integer(m, "m"), _positive_integer(n, "n")
-    if statistic == "mean" and q is None:
+    if q is None:
         asymptotic, mean, quantiles = expected_exposure_asymptote(), expected_exposure_exact(n), {}
         std = math.sqrt(_exposure(np.arange(1, n + 2), n).var() * (m + n + 1) / (m * (n + 2)))
-    elif statistic == "quantile" and q is not None:
+    else:
         asymptotic = baseline_quantile_exposure(q)  # checks q
         pmf = _kth_rank_pmf(m, n, m - math.ceil(q * m) + 1)
         exposures = _exposure(np.arange(n + 1, 0, -1), n)  # ascending
@@ -97,9 +97,6 @@ def exact_baseline(m: int, n: int, statistic: str, q: float | None = None) -> Ba
         # small m + n these are multiples of 1 / C(m + n, m) and can equal it
         levels = np.searchsorted(np.cumsum(pmf), np.subtract(_NULL_QUANTILES, 1e-12))
         quantiles = dict(zip(_NULL_QUANTILES, exposures[levels].tolist()))
-    else:
-        raise ValueError("statistic must be 'mean' without q or 'quantile' with q, "
-                         f"got {statistic!r} and q={q!r}")
     return BaselineSummary(asymptotic_value=asymptotic, mean=mean, std=std, quantiles=quantiles)
 
 

@@ -41,15 +41,14 @@ def _write(text: str, out_file: str | None) -> None:
         Path(out_file).write_text(text, encoding="utf-8")
 
 
-def _parse_statistic(parser: argparse.ArgumentParser, token: str):
+def _parse_statistic(parser: argparse.ArgumentParser, token: str) -> float | None:
     if token == "mean":
-        return "mean", None
+        return None
     if token.startswith("quantile="):
         try:
-            q = float(token.split("=", 1)[1])
+            return float(token.split("=", 1)[1])
         except ValueError:
             parser.error(f"malformed quantile in --statistic {token!r}")
-        return "quantile", q
     parser.error(f"--statistic must be 'mean' or 'quantile=Q', got {token!r}")
 
 
@@ -66,9 +65,9 @@ def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    statistic, q = _parse_statistic(parser, args.statistic)
-    summary = _flag_checked(parser, exact_baseline, args.m, args.n, statistic, q)
-    name = statistic if q is None else f"quantile {q:g}"
+    q = _parse_statistic(parser, args.statistic)
+    summary = _flag_checked(parser, exact_baseline, args.m, args.n, q)
+    name = "mean" if q is None else f"quantile {q:g}"
     print(f"random-guessing baseline for {name} exposure (m={args.m}, n={args.n})")
     print(f"  exact:       {summary.mean!r}")
     print(f"  asymptotic:  {summary.asymptotic_value!r}")
@@ -79,8 +78,8 @@ def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    model = _flag_checked(parser, GaussianShiftModel, mu=args.mu, sigma=args.sigma,
-                          m=args.m, n=args.n, seed=args.seed)
+    model = _flag_checked(parser, GaussianShiftModel, mu=args.mu, m=args.m, n=args.n,
+                          seed=args.seed)
     d = simulate(model)
     _write(serialize_dataset(d, args.format), args.out_file)
     print(f"wrote {d.m} canaries and {d.n} references to {args.out_file}")
@@ -127,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="write a synthetic loss file")
     sim.add_argument("--mu", type=float, required=True,
                      help="memorization shift (0 = random guessing)")
-    sim.add_argument("--sigma", type=float, default=1.0)
     sim.add_argument("--m", type=int, required=True)
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)

@@ -21,7 +21,7 @@ next is read, so the first fault in the file is the one reported.
 
 Every shared input rule of the library lives here, once:
 ``_positive_integer`` (counts), ``_non_negative_integer`` (seeds, hit
-counts, row limits), ``_real`` (thresholds, losses, parameters), ``_unit_interval``
+counts), ``_real`` (thresholds, losses, parameters), ``_unit_interval``
 (probabilities, confidences, fpr targets), ``_sequence`` (points, ids)
 and ``_column`` (arrays). Each raises ``ValueError`` with one message,
 and the CLI checks a flag by calling the same rule under the flag's name.
@@ -34,6 +34,7 @@ import io
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -49,6 +50,8 @@ _JSONL_KEYS = frozenset(("role", "loss", "id", "replications"))
 # An id holding any of these is written quoted; csv.reader ends an unquoted
 # field at "\r" as at "\n".
 _CSV_SPECIAL = frozenset(',"\n\r')
+# Code points UTF-8 cannot encode (JSON reads "\ud800" as one): no report could write them.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 # The bulk reader converts about this many characters of whole lines at a
 # time, so its transient lists and objects stay a few MB whatever the file.
@@ -136,6 +139,8 @@ def _column(values, name: str, error: type[ValueError] = ValueError, integer: bo
 def _normalize_id(rec_id: str | None) -> str | None:
     if rec_id is not None and not isinstance(rec_id, str):
         raise DatasetError(f"ids must be strings or None, got {rec_id!r}")
+    if rec_id and _SURROGATE.search(rec_id):
+        raise DatasetError(f"ids must not hold a lone surrogate, got {rec_id!r}")
     return (rec_id or "").strip() or None
 
 
@@ -313,6 +318,8 @@ def _dataset(records) -> AuditDataset:
         losses[role].append(_parse_loss(loss, line))
         if rec_id is not None and not isinstance(rec_id, str):
             raise DatasetError(f"line {line}: id must be a string, got {rec_id!r}")
+        if rec_id is not None and _SURROGATE.search(rec_id):
+            raise DatasetError(f"line {line}: id must not hold a lone surrogate, got {rec_id!r}")
         ids[role].append(rec_id)
         if type(reps) is not int or reps != 1:  # a plain 1 needs no check
             reps = _parse_replications(reps, role, line)

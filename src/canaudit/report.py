@@ -38,9 +38,11 @@ from .audit import INDEPENDENCE_NOTICE, AuditResult, epsilon_from_median_exposur
 from .baseline import (baseline_quantile_exposure, expected_exposure_asymptote,
                        expected_exposure_exact, quantile_p_value)
 from .exposure import ExposureReport, _exposure
-from .ingest import AuditDataset, _csv_field, _csv_text, _non_negative_integer, dataset_summary
+from .ingest import AuditDataset, _csv_field, _csv_text, dataset_summary
 
 SCHEMA_VERSION = 7
+# The Markdown lists the first this many canaries; the JSON and CSV list every one.
+_MARKDOWN_CANARY_ROWS = 20
 
 
 def _histogram(exposures: np.ndarray, n: int) -> dict:
@@ -67,16 +69,15 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def _bound_rows(result: AuditResult) -> list[dict]:
-    """Per bound, as ``AuditResult.bounds`` walks them: its attack's operating
-    point and counts, then the bound's fields in declaration order."""
+    """Per bound of ``AuditResult.bounds``: its attack's operating point and
+    counts, then the bound's fields in declaration order."""
     return [{"operating_point": outcome.operating_point,
              "threshold": _finite_or_none(outcome.mi.threshold), "tpr": outcome.mi.tpr,
              "fpr": outcome.mi.fpr, "canary_hits": outcome.mi.canary_hits,
              "reference_hits": outcome.mi.reference_hits, **vars(bound),
              "point_estimate": _finite_or_none(bound.point_estimate),
              "alpha_split": list(bound.alpha_split)}
-            for outcome in result.outcomes
-            for bound in (outcome.bound, outcome.per_example_bound) if bound is not None]
+            for outcome, bound in result.bounds()]
 
 
 def build_report(d: AuditDataset, result: AuditResult) -> dict:
@@ -148,9 +149,8 @@ def _table(out: io.StringIO, header: tuple[str, ...], rows) -> None:
         out.write(f"| {' | '.join(cells)} |\n")
 
 
-def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
+def render_markdown(document: dict) -> str:
     """Human-readable rendering of a report document."""
-    max_canary_rows = _non_negative_integer(max_canary_rows, "max_canary_rows")
     out = io.StringIO()
     ds = document["dataset"]
     out.write(f"# Canary exposure audit\n\ntool version {document['tool_version']}, "
@@ -187,11 +187,11 @@ def render_markdown(document: dict, max_canary_rows: int = 20) -> str:
                                    for lo, hi, count in zip(edges, edges[1:], counts)))
 
     out.write("\n## Per-canary exposure\n\n")
-    rows = zip(*_canary_columns(document, max_canary_rows))
+    rows = zip(*_canary_columns(document, _MARKDOWN_CANARY_ROWS))
     _table(out, ("index", "id", "rank", "exposure", "empirical fpr"),
            ([_fmt(index), "-" if rec_id is None else _cell(rec_id), *map(_fmt, values)]
             for index, rec_id, *values in rows))
-    if document["exposure"]["m"] > max_canary_rows:
+    if document["exposure"]["m"] > _MARKDOWN_CANARY_ROWS:
         out.write("\n(table truncated; the JSON report carries every row)\n")
     return out.getvalue()
 

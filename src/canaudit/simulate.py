@@ -1,14 +1,14 @@
 """Synthetic audit datasets with known ground truth.
 
-The Gaussian shift family draws reference losses from N(0, sigma^2) and
-canary losses from N(-mu, sigma^2): mu = 0 reproduces the random-guessing
-regime exactly, and larger mu models stronger memorization (canaries more
-probable, hence lower loss). Its threshold attack has a closed form,
+The Gaussian shift family draws reference losses from N(0, 1) and canary
+losses from N(-mu, 1): mu = 0 reproduces the random-guessing regime
+exactly, and larger mu models stronger memorization (canaries more
+probable, hence lower loss). A common scale would change no rank, so the
+family has none. Its threshold attack has a closed form, mu-Gaussian DP's
+trade-off curve, which makes the family an independent oracle for the
+attack and audit machinery:
 
-    tpr = Phi((t + mu) / sigma),   fpr = Phi(t / sigma),
-
-which makes the family an independent oracle for the attack and audit
-machinery.
+    tpr = Phi(t + mu) = Phi(Phi^-1(fpr) + mu),   fpr = Phi(t).
 
 Normal draws are the inverse normal CDF of uniforms, computed by a numpy
 port of Cephes ``ndtri``, the algorithm behind ``scipy.special.ndtri``:
@@ -89,7 +89,6 @@ class GaussianShiftModel:
     """Parameters of the synthetic loss generator."""
 
     mu: float
-    sigma: float
     m: int
     n: int
     seed: int
@@ -97,8 +96,6 @@ class GaussianShiftModel:
     def __post_init__(self):
         if not 0.0 <= _real(self.mu, "mu") < math.inf:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if not 0.0 < _real(self.sigma, "sigma") < math.inf:
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         _positive_integer(self.m, "m")
         _positive_integer(self.n, "n")
         _non_negative_integer(self.seed, "seed")
@@ -120,10 +117,8 @@ def simulate(model: GaussianShiftModel) -> AuditDataset:
     canary draws do not depend on n (nor the reference draws on m).
     """
     ref_seq, can_seq = np.random.SeedSequence(model.seed).spawn(2)
-    references = model.sigma * _normal_samples(np.random.default_rng(ref_seq), model.n)
-    canaries = -model.mu + model.sigma * _normal_samples(
-        np.random.default_rng(can_seq), model.m
-    )
+    references = _normal_samples(np.random.default_rng(ref_seq), model.n)
+    canaries = -model.mu + _normal_samples(np.random.default_rng(can_seq), model.m)
     return AuditDataset(canary_losses=canaries, reference_losses=references)
 
 
@@ -136,6 +131,4 @@ def analytic_operating_point(
     model: GaussianShiftModel, threshold: float
 ) -> tuple[float, float]:
     """Population (tpr, fpr) of the threshold attack under the model."""
-    tpr = _normal_cdf((threshold + model.mu) / model.sigma)
-    fpr = _normal_cdf(threshold / model.sigma)
-    return tpr, fpr
+    return _normal_cdf(threshold + model.mu), _normal_cdf(threshold)

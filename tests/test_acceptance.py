@@ -73,8 +73,8 @@ def test_criterion_01_expected_exposure_baseline():
 
 
 def test_criterion_02_median_and_quantile_baselines():
-    median = exact_baseline(10_001, 10**4, "quantile", q=0.5)
-    upper = exact_baseline(10_001, 10**4, "quantile", q=0.75)
+    median = exact_baseline(10_001, 10**4, q=0.5)
+    upper = exact_baseline(10_001, 10**4, q=0.75)
     ok_median = abs(median.mean - 1.0) < 0.05
     ok_upper = abs(upper.mean - 2.0) < 0.1
     _criterion(
@@ -167,7 +167,7 @@ def test_criterion_07_soundness_under_the_null():
     seeds = 500
     positives = 0
     for seed in range(seeds):
-        d = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=1000, n=1000, seed=seed))
+        d = simulate(GaussianShiftModel(mu=0.0, m=1000, n=1000, seed=seed))
         mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
         bound = epsilon_confident(d, mi, 0.95)
         if bound.confident_lower_bound > 0.0:
@@ -186,7 +186,7 @@ def test_criterion_08_power_under_strong_memorization():
     seeds = 100
     hits = 0
     for seed in range(seeds):
-        d = simulate(GaussianShiftModel(mu=3.0, sigma=1.0, m=10_000, n=10_000,
+        d = simulate(GaussianShiftModel(mu=3.0, m=10_000, n=10_000,
                                         seed=10_000 + seed))
         result = audit_pipeline(d, operating_points=("median",), confidence=0.95)
         bound = result.outcomes[0].bound
@@ -218,7 +218,7 @@ def test_criterion_09_group_privacy_division():
 
 
 def test_criterion_10_full_audit_performance():
-    d0 = simulate(GaussianShiftModel(mu=1.0, sigma=1.0, m=100_000, n=100_000, seed=0))
+    d0 = simulate(GaussianShiftModel(mu=1.0, m=100_000, n=100_000, seed=0))
     text = serialize_dataset(d0, "csv").encode()
 
     start = time.perf_counter()

@@ -187,7 +187,7 @@ def test_clopper_pearson_validation():
 
 
 def test_confident_bound_positive_when_separated():
-    d = simulate(GaussianShiftModel(mu=8.0, sigma=1.0, m=1000, n=1000, seed=1))
+    d = simulate(GaussianShiftModel(mu=8.0, m=1000, n=1000, seed=1))
     mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
     bound = epsilon_confident(d, mi, 0.95)
     assert bound.confident_lower_bound > 0.0
@@ -222,7 +222,7 @@ def test_confident_bound_records_inputs():
 
 
 def test_confident_bound_non_increasing_in_confidence():
-    d = simulate(GaussianShiftModel(mu=2.0, sigma=1.0, m=400, n=400, seed=5))
+    d = simulate(GaussianShiftModel(mu=2.0, m=400, n=400, seed=5))
     mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
     bounds = [
         epsilon_confident(d, mi, c).confident_lower_bound
@@ -253,14 +253,14 @@ def test_group_privacy_adjust():
 
 
 def test_pipeline_null_data_certifies_nothing():
-    d = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=2001, n=2000, seed=2))
+    d = simulate(GaussianShiftModel(mu=0.0, m=2001, n=2000, seed=2))
     result = audit_pipeline(d, operating_points=("median",), confidence=0.95)
     assert result.exposure_report.quantile_exposures[0.5] == pytest.approx(1.0, abs=0.2)
     assert result.outcomes[0].bound.confident_lower_bound == 0.0
 
 
 def test_pipeline_point_estimate_is_internally_consistent():
-    d = simulate(GaussianShiftModel(mu=3.0, sigma=1.0, m=10_000, n=10_000, seed=3))
+    d = simulate(GaussianShiftModel(mu=3.0, m=10_000, n=10_000, seed=3))
     result = audit_pipeline(d, operating_points=("median",))
     outcome = result.outcomes[0]
     by_hand = math.log(outcome.mi.tpr / outcome.mi.fpr)
@@ -277,7 +277,7 @@ def test_pipeline_point_estimate_is_internally_consistent():
 
 
 def test_pipeline_unachievable_fpr_target_warns():
-    d = simulate(GaussianShiftModel(mu=1.0, sigma=1.0, m=100, n=100, seed=4))
+    d = simulate(GaussianShiftModel(mu=1.0, m=100, n=100, seed=4))
     result = audit_pipeline(d, operating_points=("median", 0.001))
     low_fpr = result.outcomes[1]
     assert low_fpr.warning is not None and "resolution" in low_fpr.warning
@@ -304,7 +304,7 @@ def test_pipeline_replications_emit_per_example_bounds():
 def test_pipeline_bound_invariants_across_seeds():
     for seed in range(8):
         mu = 0.5 * seed
-        d = simulate(GaussianShiftModel(mu=mu, sigma=1.0, m=300, n=300, seed=seed))
+        d = simulate(GaussianShiftModel(mu=mu, m=300, n=300, seed=seed))
         result = audit_pipeline(d, operating_points=("median", 0.1, 0.01))
         for outcome in result.outcomes:
             bound = outcome.bound
@@ -331,7 +331,7 @@ def test_pipeline_reads_a_generator_of_points_once():
 
 
 def test_pipeline_accepts_numpy_scalar_targets():
-    d = simulate(GaussianShiftModel(mu=1.0, sigma=1.0, m=200, n=300, seed=6))
+    d = simulate(GaussianShiftModel(mu=1.0, m=200, n=300, seed=6))
     numpy_points = ("median", np.float32(0.5), np.int64(0))
     python_points = ("median", 0.5, 0)
     assert render_json(build_report(d, audit_pipeline(d, numpy_points))) == \

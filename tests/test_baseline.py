@@ -84,27 +84,26 @@ def test_quantile_baseline_validation():
 
 
 def test_exact_baseline_summary_fields():
-    summary = exact_baseline(10, 5, "quantile", q=0.75)
+    summary = exact_baseline(10, 5, q=0.75)
     assert summary.asymptotic_value == 2.0 and summary.std > 0.0
     assert list(summary.quantiles) == [0.05, 0.25, 0.5, 0.75, 0.95]
     assert list(summary.quantiles.values()) == sorted(summary.quantiles.values())
-    mean = exact_baseline(10, 5, "mean")
+    mean = exact_baseline(10, 5)
     assert mean.mean == expected_exposure_exact(5) and mean.quantiles == {}
     assert mean.asymptotic_value == expected_exposure_asymptote()
-    assert exact_baseline(1001, 1000, "quantile", q=0.5).mean == pytest.approx(1.0, abs=0.01)
+    assert exact_baseline(1001, 1000, q=0.5).mean == pytest.approx(1.0, abs=0.01)
 
 
 def test_exact_baseline_validation():
     with pytest.raises(ValueError):
-        exact_baseline(0, 5, "mean")
+        exact_baseline(0, 5)
     with pytest.raises(ValueError):
-        exact_baseline(5, 5, "mode")
-    with pytest.raises(ValueError):
-        exact_baseline(5, 5, "quantile")  # missing q
-    with pytest.raises(ValueError):
-        exact_baseline(5, 5, "mean", q=0.5)  # stray q
-    with pytest.raises(ValueError):
-        exact_baseline(5, 5, "quantile", q=1.5)
+        exact_baseline(5, 5, q=1.5)
+    # q alone names the statistic: None is the mean
+    with pytest.raises(TypeError):
+        exact_baseline(5, 5, statistic="mean")
+    with pytest.raises(TypeError):
+        exact_baseline(5, 5, "quantile", q=0.5)
 
 
 def _interleavings(m, n):
@@ -124,7 +123,7 @@ def test_exact_baseline_matches_enumeration(m, n, q):
     # nearest-rank quantiles are those over every placement
     every = np.array([_statistic(np.log2(n) - np.log2(ranks), q)
                       for ranks in _interleavings(m, n)])
-    summary = exact_baseline(m, n, "mean" if q is None else "quantile", q)
+    summary = exact_baseline(m, n, q)
     assert abs(summary.mean - every.mean()) <= 1e-12
     assert abs(summary.std - every.std()) <= 1e-12
     assert summary.quantiles == ({} if q is None else {
@@ -152,7 +151,7 @@ def test_exact_std_matches_permutation_null(m, n, q):
     trials = 4000
     stats = _permutation_null(m, n, trials, q, seed=9)
     std, fourth = stats.std(), ((stats - stats.mean()) ** 4).mean()
-    summary = exact_baseline(m, n, "mean" if q is None else "quantile", q)
+    summary = exact_baseline(m, n, q)
     # three standard errors of the sample std, by the delta method
     error = math.sqrt((fourth - std**4) / trials) / (2 * std)
     assert abs(summary.std - stats.std(ddof=1)) <= 3 * error

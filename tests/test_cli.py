@@ -172,17 +172,26 @@ def test_audit_malformed_file_exits_one(tmp_path, capsys, name, text):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("out", ["md", "csv", "json"])
+def test_id_that_utf8_cannot_encode_exits_one_with_one_line(tmp_path, capsys, out):
+    # json reads the escape as a lone surrogate, which no report could write
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"role": "canary", "loss": 1.0, "id": "\\ud800"}\n'
+                    '{"role": "reference", "loss": 2.0}\n', encoding="utf-8")
+    assert main(["audit", str(path), "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: id must not hold a lone surrogate, got '\\ud800'\n"
+
+
 def test_invalid_flags_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["audit", "whatever.csv", "--out", "pdf"])
     assert exc.value.code == 2
     for flags in (["--mu", "0", "--m", "0", "--n", "5"],
                   ["--mu", "-1", "--m", "5", "--n", "5"],
-                  ["--mu", "0", "--sigma", "0", "--m", "5", "--n", "5"],
                   ["--mu", "nan", "--m", "5", "--n", "5"],
-                  ["--mu", "inf", "--m", "5", "--n", "5"],
-                  ["--mu", "0", "--sigma", "nan", "--m", "5", "--n", "5"],
-                  ["--mu", "0", "--sigma", "inf", "--m", "5", "--n", "5"]):
+                  ["--mu", "inf", "--m", "5", "--n", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", *flags, "--out-file", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
@@ -209,6 +218,9 @@ def test_invalid_flags_exit_two(tmp_path):
     # ties always count against the canary: there is no policy to pick
     (["audit", "absent.csv", "--tie-policy", "optimistic"],
      "unrecognized arguments: --tie-policy optimistic"),
+    # a common scale of the losses changes no rank: the model has none
+    (["simulate", "--mu", "1", "--m", "5", "--n", "5", "--out-file", "x.csv", "--sigma", "1"],
+     "unrecognized arguments: --sigma 1"),
 ])
 def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
     monkeypatch.chdir(tmp_path)
@@ -224,8 +236,8 @@ def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
     (["audit", "absent.csv", "--confidence", "1"], "--confidence must be in (0, 1), got 1.0"),
     (["audit", "absent.csv", "--fpr-target", "-0.5"],
      "--fpr-target must be in [0, 1], got -0.5"),
-    (["simulate", "--mu", "0", "--sigma", "0", "--m", "5", "--n", "5", "--out-file", "x.csv"],
-     "sigma must be finite and > 0, got 0.0"),
+    (["simulate", "--mu", "-1", "--m", "5", "--n", "5", "--out-file", "x.csv"],
+     "mu must be finite and >= 0, got -1.0"),
     (["baseline", "--m", "0", "--n", "3"], "m must be a positive integer, got 0"),
     (["baseline", "--m", "3", "--n", "0"], "n must be a positive integer, got 0"),
     (["baseline", "--m", "3", "--n", "3", "--statistic", "quantile=1.5"],
@@ -366,7 +378,7 @@ def test_audit_leaves_scipy_unloaded(tmp_path):
 
 def test_simulate_writes_loadable_file(tmp_path, capsys):
     out_file = tmp_path / "sim.jsonl"
-    assert main(["simulate", "--mu", "2", "--sigma", "0.5", "--m", "10",
+    assert main(["simulate", "--mu", "2", "--m", "10",
                  "--n", "20", "--seed", "3", "--out-file", str(out_file),
                  "--format", "jsonl"]) == 0
     d = parse_dataset(out_file.read_bytes(), "jsonl")

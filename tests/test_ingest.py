@@ -191,6 +191,11 @@ ERROR_CASES = [
     ("jsonl", '{"role": "canary", "loss": NaN}', "line 1: non-finite loss nan"),
     ("jsonl", '{"role": "canary", "loss": 1e400}', "line 1: non-finite loss inf"),
     ("jsonl", '{"role": "canary", "loss": 1.0, "id": 5}', "line 1: id must be a string, got 5"),
+    # UTF-8 cannot encode a lone surrogate, so no Markdown or CSV report could write it
+    ("jsonl", '{"role": "canary", "loss": 1.0, "id": "\\ud800"}',
+     "line 1: id must not hold a lone surrogate, got '\\ud800'"),
+    ("csv", "role,loss,id\ncanary,1.0,a\udfffb\n",
+     "line 2: id must not hold a lone surrogate, got 'a\\udfffb'"),
     ("jsonl", '{"role": "canary", "loss": 1.0, "replications": true}',
      "line 1: replications must be an integer, got True"),
     ("jsonl", '{"role": "canary", "loss": 1.0, "replications": "x"}',

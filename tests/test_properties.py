@@ -7,12 +7,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import ndtr
 
 from canaudit import (
     AuditDataset,
     DatasetError,
+    GaussianShiftModel,
+    analytic_operating_point,
     audit_pipeline,
     build_report,
     epsilon_confident,
@@ -23,9 +26,11 @@ from canaudit import (
     rank,
     render_csv,
     render_markdown,
+    roc,
     serialize_dataset,
     threshold_attack,
 )
+from canaudit.simulate import _ndtri
 
 from conftest import csv_writer_serialize, json_dumps_serialize, make_dataset
 
@@ -57,6 +62,42 @@ def test_aggregates_and_rows_are_permutation_invariant(canaries, references, dat
     assert rows_again == rows
 
 
+@given(tie_prone_losses, tie_prone_losses, st.integers(-30, 30))
+def test_audits_see_only_the_order_of_losses(canaries, references, k):
+    # times 2^k every loss is exact and keeps its order, so every rank and
+    # count stays bit for bit and only the thresholds scale
+    scale = 2.0 ** k
+    scaled_canaries, scaled_references = np.array(canaries) * scale, np.array(references) * scale
+    assume((scaled_canaries / scale == canaries).all())
+    assume((scaled_references / scale == references).all())
+    d = make_dataset(canaries, references)
+    scaled = make_dataset(scaled_canaries, scaled_references)
+
+    report, again = exposure_all(d), exposure_all(scaled)
+    assert again.ranks.tolist() == report.ranks.tolist()
+    assert _bits(again.exposures) == _bits(report.exposures)
+    documents = [build_report(x, audit_pipeline(x, OPERATING_POINTS)) for x in (d, scaled)]
+    for key in ("exposure", "baselines", "histogram"):  # p-values are in the baselines
+        assert documents[1][key] == documents[0][key]
+    rows, rows_again = (doc["epsilon_bounds"] for doc in documents)
+    for row in rows:
+        row["threshold"] = None if row["threshold"] is None else row["threshold"] * scale
+    assert rows_again == rows
+
+    curve, curve_again = roc(d), roc(scaled)
+    assert curve_again.canary_hits.tolist() == curve.canary_hits.tolist()
+    assert curve_again.reference_hits.tolist() == curve.reference_hits.tolist()
+    assert curve_again.threshold.tolist() == (curve.threshold * scale).tolist()
+
+
+@given(st.floats(0.0, 6.0), st.floats(-8.0, 8.0))
+def test_analytic_operating_point_is_the_gaussian_dp_curve(mu, threshold):
+    # with unit variance the model's trade-off is tpr = Phi(Phi^-1(fpr) + mu)
+    tpr, fpr = analytic_operating_point(GaussianShiftModel(mu=mu, m=1, n=1, seed=0), threshold)
+    assert abs(fpr - ndtr(threshold)) <= 1e-12
+    assert abs(tpr - ndtr(_ndtri(np.array([fpr]))[0] + mu)) <= 1e-12
+
+
 @given(tie_prone_losses, tie_prone_losses, st.sampled_from([0.5, 0.75]), st.data())
 def test_quantile_p_value_falls_as_canary_losses_fall(canaries, references, q, data):
     drops = data.draw(st.lists(st.floats(0.0, 10.0), min_size=len(canaries),
@@ -73,14 +114,17 @@ def test_quantile_p_value_falls_as_canary_losses_fall(canaries, references, q, d
 @example([0.5, 1.0, 1.0], [1.0])
 # at n = 1621, math.log2(n) - math.log2(rank) misses np.log2's bits for ranks 1-3
 @example([-1.0, 0.5, 1.5], [float(loss) for loss in range(1621)])
+# more canaries than the Markdown lists
+@example([float(loss) for loss in range(25)], [0.5, 10.5])
 def test_rendered_exposures_are_the_arrays_bits(canaries, references):
-    # the JSON stores ranks only; the Markdown and CSV derive each exposure
+    # the JSON stores ranks only; the Markdown (its first 20 rows) and the
+    # CSV (every row) derive each exposure
     d = make_dataset(canaries, references)
     exposures = exposure_all(d).exposures.tolist()
     document = build_report(d, audit_pipeline(d))
-    md = render_markdown(document, max_canary_rows=d.m)
-    md_rows = md[md.index("## Per-canary exposure"):].splitlines()[4:]
-    assert [row.split(" | ")[3] for row in md_rows] == [json.dumps(e) for e in exposures]
+    md = render_markdown(document)
+    md_rows = md[md.index("## Per-canary exposure"):].splitlines()[4:4 + min(d.m, 20)]
+    assert [row.split(" | ")[3] for row in md_rows] == [json.dumps(e) for e in exposures[:20]]
     csv_rows = list(csv.reader(io.StringIO(render_csv(document))))[1:]
     assert [row[4] for row in csv_rows] == [repr(e) for e in exposures]
 
@@ -135,7 +179,7 @@ def test_parse_inverts_serialize_bit_for_bit(d, format):
 @example(make_dataset([1.0, -0.0], [3.0], ids=["x,y", 'q"']))
 @example(make_dataset([1.0], [2.0, 3.0], ids=["l\nm"], replications=4))
 @example(make_dataset([5e-324], [1e308], replications=3))
-@example(make_dataset([-0.0, 1.0], [2.0], ids=[None, 'a\u2028\\"\x00\ud800']))
+@example(make_dataset([-0.0, 1.0], [2.0], ids=[None, 'a\u2028\\"\x00\U0001f600']))
 def test_csv_matches_csv_writer_byte_for_byte(d):
     # csv.writer quotes ids with a comma, quote or "\n" exactly as the
     # column-wise writer does; it differs only on "\r". json.dumps escapes

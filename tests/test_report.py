@@ -229,7 +229,7 @@ def test_csv_rendering_parses():
 
 
 def test_markdown_includes_warnings_section():
-    d = simulate(GaussianShiftModel(mu=1.0, sigma=1.0, m=50, n=100, seed=71))
+    d = simulate(GaussianShiftModel(mu=1.0, m=50, n=100, seed=71))
     result = audit_pipeline(d, operating_points=("median", 0.001))
     document = build_report(d, result)
     md = render_markdown(document)
@@ -239,7 +239,7 @@ def test_markdown_includes_warnings_section():
 
 def _golden_document():
     # ids with a missing one and one that needs CSV quoting, canaries
-    # replicated twice, and more canaries than the Markdown table shows
+    # replicated twice
     d = make_dataset([0.5, 1.5, 2.5, 3.5, 0.25], [1.0, 2.0, 3.0, 4.0],
                      replications=2, ids=["a", "b", None, "d,e", "f"])
     return build_report(d, audit_pipeline(d, operating_points=("median", 0.25)))
@@ -266,19 +266,43 @@ def test_csv_rendering_golden_without_ids():
     )
 
 
+def _document_of_many_canaries(m):
+    # four canaries at each rank from 1 up against four references; one has no id
+    ids = [None if i == 2 else f"c{i}" for i in range(m)]
+    d = make_dataset([0.25 * i for i in range(m)], [1.0, 2.0, 3.0, 4.0], ids=ids)
+    return build_report(d, audit_pipeline(d))
+
+
 def test_markdown_per_canary_table_golden():
-    md = render_markdown(_golden_document(), max_canary_rows=3)
+    md = render_markdown(_document_of_many_canaries(21))
     assert md[md.index("## Per-canary exposure"):] == (
         "## Per-canary exposure\n\n"
         "| index | id | rank | exposure | empirical fpr |\n"
         "|---|---|---|---|---|\n"
-        "| 0 | a | 1 | 2.0 | 0.0 |\n"
-        "| 1 | b | 2 | 1.0 | 0.25 |\n"
-        "| 2 | - | 3 | 0.4150374992788439 | 0.5 |\n"
+        "| 0 | c0 | 1 | 2.0 | 0.0 |\n"
+        "| 1 | c1 | 1 | 2.0 | 0.0 |\n"
+        "| 2 | - | 1 | 2.0 | 0.0 |\n"
+        "| 3 | c3 | 1 | 2.0 | 0.0 |\n"
+        "| 4 | c4 | 2 | 1.0 | 0.25 |\n"
+        "| 5 | c5 | 2 | 1.0 | 0.25 |\n"
+        "| 6 | c6 | 2 | 1.0 | 0.25 |\n"
+        "| 7 | c7 | 2 | 1.0 | 0.25 |\n"
+        "| 8 | c8 | 3 | 0.4150374992788439 | 0.5 |\n"
+        "| 9 | c9 | 3 | 0.4150374992788439 | 0.5 |\n"
+        "| 10 | c10 | 3 | 0.4150374992788439 | 0.5 |\n"
+        "| 11 | c11 | 3 | 0.4150374992788439 | 0.5 |\n"
+        "| 12 | c12 | 4 | 0.0 | 0.75 |\n"
+        "| 13 | c13 | 4 | 0.0 | 0.75 |\n"
+        "| 14 | c14 | 4 | 0.0 | 0.75 |\n"
+        "| 15 | c15 | 4 | 0.0 | 0.75 |\n"
+        "| 16 | c16 | 5 | -0.3219280948873622 | 1.0 |\n"
+        "| 17 | c17 | 5 | -0.3219280948873622 | 1.0 |\n"
+        "| 18 | c18 | 5 | -0.3219280948873622 | 1.0 |\n"
+        "| 19 | c19 | 5 | -0.3219280948873622 | 1.0 |\n"
         "\n(table truncated; the JSON report carries every row)\n"
     )
-    untruncated = render_markdown(_golden_document(), max_canary_rows=5)
-    assert untruncated.endswith("| 4 | f | 1 | 2.0 | 0.0 |\n")
+    untruncated = render_markdown(_document_of_many_canaries(20))
+    assert untruncated.endswith("| 19 | c19 | 5 | -0.3219280948873622 | 1.0 |\n")
 
 
 def test_markdown_rendering_golden():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -52,25 +53,25 @@ def test_ndtri_matches_scipy_bit_for_bit():
 
 
 def test_simulate_deterministic():
-    model = GaussianShiftModel(mu=1.0, sigma=2.0, m=50, n=40, seed=11)
+    model = GaussianShiftModel(mu=1.0, m=50, n=40, seed=11)
     assert simulate(model) == simulate(model)
 
 
 def test_simulate_seed_sensitivity():
-    a = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=5, n=5, seed=0))
-    b = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=5, n=5, seed=1))
+    a = simulate(GaussianShiftModel(mu=0.0, m=5, n=5, seed=0))
+    b = simulate(GaussianShiftModel(mu=0.0, m=5, n=5, seed=1))
     assert a != b
 
 
 def test_simulate_golden_values():
-    d = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=5, n=5, seed=0))
+    d = simulate(GaussianShiftModel(mu=0.0, m=5, n=5, seed=0))
     assert d.canary_losses.tolist() == GOLDEN_SEED0_CANARIES
     assert d.reference_losses.tolist() == GOLDEN_SEED0_REFERENCES
 
 
 def test_simulate_shift_and_scale():
-    base = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=5, n=5, seed=0))
-    shifted = simulate(GaussianShiftModel(mu=2.5, sigma=1.0, m=5, n=5, seed=0))
+    base = simulate(GaussianShiftModel(mu=0.0, m=5, n=5, seed=0))
+    shifted = simulate(GaussianShiftModel(mu=2.5, m=5, n=5, seed=0))
     for a, b in zip(base.canary_losses, shifted.canary_losses):
         assert b == pytest.approx(a - 2.5, abs=1e-12)
     for a, b in zip(base.reference_losses, shifted.reference_losses):
@@ -78,38 +79,43 @@ def test_simulate_shift_and_scale():
 
 
 def test_simulate_canaries_independent_of_n():
-    a = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=5, n=3, seed=9))
-    b = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=5, n=30, seed=9))
+    a = simulate(GaussianShiftModel(mu=0.0, m=5, n=3, seed=9))
+    b = simulate(GaussianShiftModel(mu=0.0, m=5, n=30, seed=9))
     assert a.canary_losses.tolist() == b.canary_losses.tolist()
 
 
 def test_simulate_validation():
     with pytest.raises(ValueError):
-        GaussianShiftModel(mu=-0.1, sigma=1.0, m=1, n=1, seed=0)
+        GaussianShiftModel(mu=-0.1, m=1, n=1, seed=0)
     with pytest.raises(ValueError):
-        GaussianShiftModel(mu=0.0, sigma=0.0, m=1, n=1, seed=0)
-    with pytest.raises(ValueError):
-        GaussianShiftModel(mu=0.0, sigma=1.0, m=0, n=1, seed=0)
-    for mu, sigma in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        GaussianShiftModel(mu=0.0, m=0, n=1, seed=0)
+    for mu in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            GaussianShiftModel(mu=mu, sigma=sigma, m=1, n=1, seed=0)
+            GaussianShiftModel(mu=mu, m=1, n=1, seed=0)
+
+
+def test_model_has_no_scale():
+    # a common scale multiplies every loss and changes no rank, so there is none
+    assert [f.name for f in dataclasses.fields(GaussianShiftModel)] == ["mu", "m", "n", "seed"]
+    with pytest.raises(TypeError):
+        GaussianShiftModel(mu=1.0, sigma=2.0, m=1, n=1, seed=0)
 
 
 def test_null_model_median_exposure_near_one():
     for seed in range(3):
-        d = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=10_001, n=10_000, seed=seed))
+        d = simulate(GaussianShiftModel(mu=0.0, m=10_001, n=10_000, seed=seed))
         report = exposure_all(d)
         assert report.quantile_exposures[0.5] == pytest.approx(1.0, abs=0.1)
 
 
 def test_strong_shift_saturates_exposure():
-    d = simulate(GaussianShiftModel(mu=6.0, sigma=1.0, m=1000, n=1000, seed=21))
+    d = simulate(GaussianShiftModel(mu=6.0, m=1000, n=1000, seed=21))
     report = exposure_all(d)
     assert report.quantile_exposures[0.5] == pytest.approx(np.log2(1000), abs=0.1)
 
 
 def test_analytic_operating_point_null_model():
-    model = GaussianShiftModel(mu=0.0, sigma=1.0, m=10, n=10, seed=0)
+    model = GaussianShiftModel(mu=0.0, m=10, n=10, seed=0)
     for t in (-1.0, 0.0, 0.3, 2.0):
         tpr, fpr = analytic_operating_point(model, t)
         assert tpr == fpr
@@ -117,13 +123,13 @@ def test_analytic_operating_point_null_model():
 
 
 def test_analytic_operating_point_symmetry():
-    model = GaussianShiftModel(mu=3.0, sigma=2.0, m=10, n=10, seed=0)
+    model = GaussianShiftModel(mu=3.0, m=10, n=10, seed=0)
     tpr, fpr = analytic_operating_point(model, -model.mu / 2)
     assert tpr + fpr == pytest.approx(1.0, abs=1e-12)
 
 
 def test_empirical_rates_converge_to_analytic():
-    model = GaussianShiftModel(mu=1.0, sigma=1.0, m=100_000, n=100_000, seed=33)
+    model = GaussianShiftModel(mu=1.0, m=100_000, n=100_000, seed=33)
     d = simulate(model)
     for t in (-1.5, -0.5, 0.0, 1.0):
         mi = threshold_attack(d, t)
@@ -139,7 +145,7 @@ def test_median_exposure_non_decreasing_in_mu():
     for mu in mus:
         medians = [
             exposure_all(
-                simulate(GaussianShiftModel(mu=mu, sigma=1.0, m=501, n=500, seed=s))
+                simulate(GaussianShiftModel(mu=mu, m=501, n=500, seed=s))
             ).quantile_exposures[0.5]
             for s in seeds
         ]
@@ -149,6 +155,6 @@ def test_median_exposure_non_decreasing_in_mu():
 
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
 def test_simulated_dataset_round_trips_through_files(format):
-    d = simulate(GaussianShiftModel(mu=1.5, sigma=1.0, m=20, n=30, seed=8))
+    d = simulate(GaussianShiftModel(mu=1.5, m=20, n=30, seed=8))
     text = serialize_dataset(d, format)
     assert parse_dataset(text, format) == d

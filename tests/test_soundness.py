@@ -41,18 +41,15 @@ LIMIT = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / SEEDS)
 def test_null_false_certification_rate(replications):
     positives = {}  # row name -> null audits in which that row certified eps > 0
     for seed in range(SEEDS):
-        null = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=1000, n=1000, seed=seed))
+        null = simulate(GaussianShiftModel(mu=0.0, m=1000, n=1000, seed=seed))
         d = AuditDataset(null.canary_losses, null.reference_losses,
                          replications=replications)
         result = audit_pipeline(d, OPERATING_POINTS)
-        for outcome in result.outcomes:
-            for bound in (outcome.bound, outcome.per_example_bound):
-                if bound is not None:
-                    name = outcome.operating_point + " per-example" * bound.per_example
-                    positives[name] = positives.get(name, 0) + (
-                        bound.confident_lower_bound > 0.0)
+        for outcome, bound in result.bounds():
+            name = outcome.operating_point + " per-example" * bound.per_example
+            positives[name] = positives.get(name, 0) + (bound.confident_lower_bound > 0.0)
         positives["any bound"] = positives.get("any bound", 0) + any(
-            bound.confident_lower_bound > 0.0 for bound in result.bounds())
+            bound.confident_lower_bound > 0.0 for _, bound in result.bounds())
 
     rates = {name: count / SEEDS for name, count in positives.items()}
     for name, rate in rates.items():
@@ -69,7 +66,7 @@ def test_null_p_value_rejection_rate(m, n, decimals):
     # rounded losses tie often; ties raise ranks, so the p-values stay valid
     rejections = {}  # q -> null audits whose quantile row has p <= 0.05
     for seed in range(SEEDS):
-        null = simulate(GaussianShiftModel(mu=0.0, sigma=1.0, m=m, n=n, seed=seed))
+        null = simulate(GaussianShiftModel(mu=0.0, m=m, n=n, seed=seed))
         if decimals is not None:
             null = AuditDataset(np.round(null.canary_losses, decimals),
                                 np.round(null.reference_losses, decimals))
