@@ -22,7 +22,7 @@ from canaudit import (
 )
 
 
-def show(result, title):
+def show(d, result, title):
     median_exposure = result.exposure_report.quantile_exposures[0.5]
     print(f"--- {title} ---")
     print(f"  median exposure {median_exposure:+.4f} "
@@ -35,10 +35,10 @@ def show(result, title):
         print(f"  [{outcome.operating_point}] tpr {outcome.mi.tpr:.4f} "
               f"fpr {outcome.mi.fpr:.4f}  eps point {point}  "
               f"eps certified >= {bound.confident_lower_bound:.4f} "
-              f"@ {bound.confidence:.0%}")
+              f"@ {result.confidence:.0%}")
         if outcome.per_example_bound is not None:
             per = outcome.per_example_bound
-            print(f"      per-example (replications {per.replications}): "
+            print(f"      per-example (replications {d.replications}): "
                   f"eps >= {per.confident_lower_bound:.4f}")
         if outcome.warning:
             print(f"      warning: {outcome.warning}")
@@ -48,11 +48,11 @@ def show(result, title):
 def main():
     # A model that memorized its canaries: canary losses sit 3 standard deviations low.
     leaky = simulate(GaussianShiftModel(mu=3.0, m=10_000, n=10_000, seed=1))
-    show(audit_pipeline(leaky, operating_points=("median", 0.001)), "memorizing model")
+    show(leaky, audit_pipeline(leaky, operating_points=("median", 0.001)), "memorizing model")
 
     # The same audit on a model that learned nothing about its canaries.
     null = simulate(GaussianShiftModel(mu=0.0, m=10_000, n=10_000, seed=1))
-    show(audit_pipeline(null, operating_points=("median", 0.001)),
+    show(null, audit_pipeline(null, operating_points=("median", 0.001)),
          "null model (no memorization)")
 
     # Duplicated canaries make memorization easier to see, but the
@@ -63,7 +63,7 @@ def main():
         reference_losses=strong.reference_losses,
         replications=8,
     )
-    show(audit_pipeline(duplicated), "canaries duplicated 8x in training")
+    show(duplicated, audit_pipeline(duplicated), "canaries duplicated 8x in training")
 
 
 if __name__ == "__main__":

@@ -47,22 +47,20 @@ INDEPENDENCE_NOTICE = (
 
 @dataclass(frozen=True)
 class EpsilonBound:
-    """A certified epsilon lower bound with every input recorded.
+    """A certified epsilon lower bound: the values that vary by row.
 
     ``point_estimate`` is the raw ln(TPR/FPR); it may be negative or
     infinite and is reported unfloored for diagnostics.
     ``confident_lower_bound`` is the Clopper-Pearson corrected value,
     floored at zero, and is finite even when the point estimate is
-    infinite because the FPR upper bound is always positive.
+    infinite because the FPR upper bound is always positive. The confidence
+    is ``AuditResult.confidence``, and the replication count the dataset's.
     """
 
     point_estimate: float
     confident_lower_bound: float
-    confidence: float
-    alpha_split: tuple[float, float]
     tpr_lower: float
     fpr_upper: float
-    replications: int
     per_example: bool
 
 
@@ -185,7 +183,7 @@ def clopper_pearson(k: int, trials: int, alpha: float, side: str) -> float:
     raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
-def epsilon_confident(d: AuditDataset, mi: MIResult, confidence: float) -> EpsilonBound:
+def epsilon_confident(mi: MIResult, confidence: float) -> EpsilonBound:
     """Confidence-corrected epsilon bound for one attack operating point.
 
     Splits the error budget 1 - confidence evenly between a lower
@@ -193,24 +191,14 @@ def epsilon_confident(d: AuditDataset, mi: MIResult, confidence: float) -> Epsil
     bound is max(0, ln(tpr_lower / fpr_upper)).
     """
     _unit_interval(confidence, "confidence")
-    alpha = 1.0 - confidence
-    tpr_lower = clopper_pearson(mi.canary_hits, mi.m, alpha / 2.0, "lower")
-    fpr_upper = clopper_pearson(mi.reference_hits, mi.n, alpha / 2.0, "upper")
-    # fpr_upper > 0 whenever alpha < 1, so the corrected bound is finite.
-    if tpr_lower == 0.0:
-        corrected = 0.0
-    else:
-        corrected = max(0.0, math.log(tpr_lower / fpr_upper))
-    return EpsilonBound(
-        point_estimate=epsilon_point(mi.tpr, mi.fpr),
-        confident_lower_bound=corrected,
-        confidence=confidence,
-        alpha_split=(alpha / 2.0, alpha / 2.0),
-        tpr_lower=tpr_lower,
-        fpr_upper=fpr_upper,
-        replications=d.replications,
-        per_example=False,
-    )
+    side_alpha = (1.0 - confidence) / 2.0
+    tpr_lower = clopper_pearson(mi.canary_hits, mi.m, side_alpha, "lower")
+    fpr_upper = clopper_pearson(mi.reference_hits, mi.n, side_alpha, "upper")
+    # fpr_upper > 0 whenever side_alpha < 1, so the corrected bound is finite.
+    corrected = max(0.0, math.log(tpr_lower / fpr_upper)) if tpr_lower > 0.0 else 0.0
+    return EpsilonBound(point_estimate=epsilon_point(mi.tpr, mi.fpr),
+                        confident_lower_bound=corrected, tpr_lower=tpr_lower,
+                        fpr_upper=fpr_upper, per_example=False)
 
 
 def group_privacy_adjust(epsilon: float, replications: int) -> float:
@@ -221,14 +209,10 @@ def group_privacy_adjust(epsilon: float, replications: int) -> float:
     return epsilon / replications
 
 
-def _per_example(bound: EpsilonBound) -> EpsilonBound:
-    k = bound.replications
-    return replace(
-        bound,
-        point_estimate=bound.point_estimate / k,  # signed diagnostics divide too
-        confident_lower_bound=group_privacy_adjust(bound.confident_lower_bound, k),
-        per_example=True,
-    )
+def _per_example(bound: EpsilonBound, k: int) -> EpsilonBound:
+    return replace(bound, point_estimate=bound.point_estimate / k,  # signed diagnostics divide too
+                   confident_lower_bound=group_privacy_adjust(bound.confident_lower_bound, k),
+                   per_example=True)
 
 
 def audit_pipeline(
@@ -258,8 +242,8 @@ def audit_pipeline(
                     f"fpr target {target:g} is below the achievable resolution "
                     f"1/n = {1.0 / d.n:g}; bound computed at achieved fpr {mi.fpr:g}"
                 )
-        bound = epsilon_confident(d, mi, confidence)
-        per_example_bound = _per_example(bound) if d.replications > 1 else None
+        bound = epsilon_confident(mi, confidence)
+        per_example_bound = _per_example(bound, d.replications) if d.replications > 1 else None
         outcomes.append(AuditOutcome(operating_point=label, mi=mi, bound=bound,
                                      per_example_bound=per_example_bound, warning=warning))
     return AuditResult(exposure_report=report, outcomes=tuple(outcomes), confidence=confidence)

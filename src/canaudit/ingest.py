@@ -212,11 +212,19 @@ def _normalize_role(token: str, line: int) -> str:
     return role
 
 
+def _number(convert, token):
+    """``convert(token)``, but a ValueError for text that float() and int() read
+    and a file never means: a digit-group "_" or a non-ASCII digit such as "２"."""
+    if isinstance(token, str) and ("_" in token or not token.isascii()):
+        raise ValueError(token)
+    return convert(token)
+
+
 def _parse_loss(token, line: int) -> float:
     if isinstance(token, bool):
         raise DatasetError(f"line {line}: loss must be a number, got {token!r}")
     try:
-        loss = float(token)
+        loss = _number(float, token)
     except (TypeError, ValueError):
         raise DatasetError(f"line {line}: malformed loss {token!r}") from None
     except OverflowError:  # a JSON integer beyond the float range
@@ -230,7 +238,7 @@ def _parse_replications(token, role: str, line: int) -> int:
     if isinstance(token, (bool, float)):
         raise DatasetError(f"line {line}: replications must be an integer, got {token!r}")
     try:
-        reps = int(token)
+        reps = _number(int, token)
     except (TypeError, ValueError):
         raise DatasetError(f"line {line}: malformed replications {token!r}") from None
     if reps < 1:
@@ -450,6 +458,8 @@ def _read_bulk(text: str, format: str) -> AuditDataset | None:
     """
     if "\r" in text:  # a scan is ~30x cheaper than a replace that finds nothing
         text = text.replace("\r\n", "\n")
+    if "_" in text or not text.isascii():  # float() reads "1_0" and "２"; ``_number`` does not
+        return None
     if format == "csv":
         header = ",".join(_CSV_REQUIRED) + "\n"
         if not text.startswith(header):

@@ -9,8 +9,9 @@ the JSON leaves out and the Markdown and CSV renderings derive from its
 rank. One writer, ``_table``, lays out every Markdown table.
 
 An ``epsilon_bounds`` row is its attack's operating point and counts,
-then every ``EpsilonBound`` field in declaration order (inf as null, the
-alpha split as a list), so a new field is a schema change.
+then every ``EpsilonBound`` field in declaration order (inf as null), so
+a new field is a schema change. The rows share ``parameters.confidence``
+and ``dataset.replications``.
 
 Per-canary values are stored as columns; the JSON is strict (null for inf)
 and compact, one line (``jq .`` indents it). The CSV quotes ids by the
@@ -40,7 +41,7 @@ from .baseline import (baseline_quantile_exposure, expected_exposure_asymptote,
 from .exposure import ExposureReport, _exposure
 from .ingest import AuditDataset, _csv_field, _csv_text, dataset_summary
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 # The Markdown lists the first this many canaries; the JSON and CSV list every one.
 _MARKDOWN_CANARY_ROWS = 20
 
@@ -75,8 +76,7 @@ def _bound_rows(result: AuditResult) -> list[dict]:
              "threshold": _finite_or_none(outcome.mi.threshold), "tpr": outcome.mi.tpr,
              "fpr": outcome.mi.fpr, "canary_hits": outcome.mi.canary_hits,
              "reference_hits": outcome.mi.reference_hits, **vars(bound),
-             "point_estimate": _finite_or_none(bound.point_estimate),
-             "alpha_split": list(bound.alpha_split)}
+             "point_estimate": _finite_or_none(bound.point_estimate)}
             for outcome, bound in result.bounds()]
 
 
@@ -171,10 +171,12 @@ def render_markdown(document: dict) -> str:
     out.write("\nepsilon from median exposure, ln(2) * (median exposure - 1): "
               f"{_fmt(document['exposure']['epsilon_from_median_exposure'])}\n")
 
-    out.write("\n## Epsilon lower bounds\n\n")
-    keys = ("per_example", "point_estimate", "confident_lower_bound", "confidence", "tpr", "fpr")
+    out.write("\n## Epsilon lower bounds\n\n"
+              f"confidence {_fmt(document['parameters']['confidence'])}, "
+              "each Clopper-Pearson side at (1 - confidence)/2\n\n")
+    keys = ("per_example", "point_estimate", "confident_lower_bound", "tpr", "fpr")
     _table(out, ("operating point", "per-example", "point estimate", "confident lower bound",
-                 "confidence", "tpr", "fpr"),
+                 "tpr", "fpr"),
            ([row["operating_point"], *(_fmt(row[key]) for key in keys)]
             for row in document["epsilon_bounds"]))
 

@@ -131,4 +131,5 @@ def analytic_operating_point(
     model: GaussianShiftModel, threshold: float
 ) -> tuple[float, float]:
     """Population (tpr, fpr) of the threshold attack under the model."""
+    threshold = _real(threshold, "threshold", finite=True)
     return _normal_cdf(threshold + model.mu), _normal_cdf(threshold)

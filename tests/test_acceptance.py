@@ -169,7 +169,7 @@ def test_criterion_07_soundness_under_the_null():
     for seed in range(seeds):
         d = simulate(GaussianShiftModel(mu=0.0, m=1000, n=1000, seed=seed))
         mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
-        bound = epsilon_confident(d, mi, 0.95)
+        bound = epsilon_confident(mi, 0.95)
         if bound.confident_lower_bound > 0.0:
             positives += 1
     limit = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / seeds)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_clopper_pearson_validation():
 def test_confident_bound_positive_when_separated():
     d = simulate(GaussianShiftModel(mu=8.0, m=1000, n=1000, seed=1))
     mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
-    bound = epsilon_confident(d, mi, 0.95)
+    bound = epsilon_confident(mi, 0.95)
     assert bound.confident_lower_bound > 0.0
     assert bound.point_estimate == math.inf  # fully separated: fpr = 0
     assert bound.fpr_upper > 0.0  # corrected bound stays finite
@@ -204,17 +205,20 @@ def test_confident_bound_zero_on_tiny_samples():
     )
     mi = threshold_attack(d, 1.0)
     assert mi.tpr == 0.5 and mi.fpr == pytest.approx(0.3)
-    bound = epsilon_confident(d, mi, 0.95)
+    bound = epsilon_confident(mi, 0.95)
     assert bound.confident_lower_bound == 0.0
 
 
 def test_confident_bound_records_inputs():
     d = make_dataset([0.0, 1.0, 4.0], [2.0, 3.0, 5.0])
     mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
-    bound = epsilon_confident(d, mi, 0.9)
-    assert bound.confidence == 0.9
-    assert bound.alpha_split == ((1 - 0.9) / 2, (1 - 0.9) / 2)
-    assert bound.replications == 1
+    bound = epsilon_confident(mi, 0.9)
+    # the row's values only: confidence and replications are the audit's and the dataset's
+    assert [field.name for field in dataclasses.fields(bound)] == [
+        "point_estimate", "confident_lower_bound", "tpr_lower", "fpr_upper", "per_example"]
+    # the error budget splits evenly between the two Clopper-Pearson sides
+    assert bound.tpr_lower == clopper_pearson(mi.canary_hits, mi.m, (1 - 0.9) / 2, "lower")
+    assert bound.fpr_upper == clopper_pearson(mi.reference_hits, mi.n, (1 - 0.9) / 2, "upper")
     assert not bound.per_example
     assert bound.tpr_lower <= mi.tpr
     assert bound.fpr_upper >= mi.fpr
@@ -225,7 +229,7 @@ def test_confident_bound_non_increasing_in_confidence():
     d = simulate(GaussianShiftModel(mu=2.0, m=400, n=400, seed=5))
     mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
     bounds = [
-        epsilon_confident(d, mi, c).confident_lower_bound
+        epsilon_confident(mi, c).confident_lower_bound
         for c in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
     ]
     assert all(a >= b for a, b in zip(bounds, bounds[1:]))
@@ -236,7 +240,9 @@ def test_confident_validation():
     mi = threshold_attack(d, 1.5)
     for confidence in (0.0, 1.0, -1.0, 2.0):
         with pytest.raises(ValueError):
-            epsilon_confident(d, mi, confidence)
+            epsilon_confident(mi, confidence)
+    with pytest.raises(TypeError):  # the bound reads no dataset
+        epsilon_confident(d, mi, 0.95)
 
 
 def test_group_privacy_adjust():
@@ -297,7 +303,7 @@ def test_pipeline_replications_emit_per_example_bounds():
         assert per is not None and per.per_example
         assert per.confident_lower_bound == raw.confident_lower_bound / 4
         assert per.point_estimate == raw.point_estimate / 4
-        assert per.replications == raw.replications == 4
+        assert (per.tpr_lower, per.fpr_upper) == (raw.tpr_lower, raw.fpr_upper)
     assert len(result.bounds()) == 4
 
 

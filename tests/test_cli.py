@@ -60,6 +60,10 @@ def test_audit_reports_raw_and_per_example_bounds(tmp_path, capsys):
     per = next(r for r in rows if r["per_example"])
     assert raw["confident_lower_bound"] > 0.0
     assert per["confident_lower_bound"] == raw["confident_lower_bound"] / 4
+    # the per-example row shares the raw row's attack and Clopper-Pearson pair
+    divided = {"per_example", "point_estimate", "confident_lower_bound"}
+    assert list(per) == list(raw)
+    assert all(per[key] == raw[key] for key in raw.keys() - divided)
     # fpr 0: both point estimates are infinite, null in the JSON
     assert raw["fpr"] == 0.0
     assert raw["point_estimate"] is None and per["point_estimate"] is None

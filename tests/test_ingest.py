@@ -258,6 +258,20 @@ ERROR_CASES = [
      "line 5: non-finite loss 'NaN'"),
     ("jsonl", '{"role": "canary", "loss": 1.0}\r\n\r\n{"role": "reference", "loss": x}\r\n',
      "line 3: malformed JSON (Expecting value)"),
+    # float() and int() read a digit-group "_" and non-ASCII digits; a number
+    # in a file is plain ASCII, with no "_"
+    ("csv", "role,loss\ncanary,1_0\nreference,2.0\n", "line 2: malformed loss '1_0'"),
+    ("csv", "role,loss\ncanary,1.0\nreference,\uff12.\uff15\n",
+     "line 3: malformed loss '\uff12.\uff15'"),
+    ("csv", "role,loss,replications\ncanary,1.0,1_0\nreference,2.0,\n",
+     "line 2: malformed replications '1_0'"),
+    ("csv", "role,loss,replications\ncanary,1.0,\uff12\nreference,2.0,\n",
+     "line 2: malformed replications '\uff12'"),
+    ("jsonl", '{"role": "canary", "loss": "1_0"}\n{"role": "reference", "loss": 2.0}',
+     "line 1: malformed loss '1_0'"),
+    ("jsonl", '{"role": "canary", "loss": 1.0, "replications": "1_0"}\n'
+              '{"role": "reference", "loss": 2.0}',
+     "line 1: malformed replications '1_0'"),
 ]
 
 

@@ -138,8 +138,8 @@ def test_certified_epsilon_does_not_rise_with_confidence(m, n, data, c1, c2):
     d = make_dataset([0.0] * h + [2.0] * (m - h), [0.0] * k + [2.0] * (n - k))
     mi = threshold_attack(d, 1.0)
     low, high = sorted((c1, c2))
-    assert (epsilon_confident(d, mi, high).confident_lower_bound
-            <= epsilon_confident(d, mi, low).confident_lower_bound)
+    assert (epsilon_confident(mi, high).confident_lower_bound
+            <= epsilon_confident(mi, low).confident_lower_bound)
 
 
 EDGE_LOSSES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,

@@ -68,11 +68,13 @@ def test_json_is_strict_with_infinite_thresholds():
 
 def test_document_records_bound_context():
     _, document = _sample_document(replications=3)
-    assert document["schema_version"] == 7
+    assert document["schema_version"] == 8
     assert list(document["parameters"]) == ["confidence", "operating_points"]
+    # each row's confidence and replication count are stated once, outside the rows
+    assert document["parameters"]["confidence"] == 0.95
+    assert document["dataset"]["replications"] == 3
     for row in document["epsilon_bounds"]:
-        assert row["confidence"] == 0.95
-        assert row["replications"] == 3
+        assert not {"confidence", "alpha_split", "replications"} & set(row)
         assert row["operating_point"] in ("median", "fpr_target=0.02")
     flags = [row["per_example"] for row in document["epsilon_bounds"]]
     assert flags.count(True) == 2 and flags.count(False) == 2
@@ -155,9 +157,9 @@ def test_markdown_numbers_appear_verbatim_in_json():
     _, document = _sample_document(replications=2)
     md = render_markdown(document)
     json_text = render_json(document)
+    assert f"confidence {json.dumps(document['parameters']['confidence'])}," in md
     for row in document["epsilon_bounds"]:
-        for key in ("point_estimate", "confident_lower_bound", "tpr", "fpr",
-                    "confidence"):
+        for key in ("point_estimate", "confident_lower_bound", "tpr", "fpr"):
             token = json.dumps(row[key])
             assert token in md
             assert token in json_text
@@ -308,7 +310,7 @@ def test_markdown_per_canary_table_golden():
 def test_markdown_rendering_golden():
     assert render_markdown(_golden_document()) == (
         "# Canary exposure audit\n\n"
-        f"tool version {__version__}, schema version 7\n\n"
+        f"tool version {__version__}, schema version 8\n\n"
         "## Dataset\n\n"
         "- canaries (m): 5\n"
         "- references (n): 4\n"
@@ -323,13 +325,14 @@ def test_markdown_rendering_golden():
         "| quantile 0.75 | 2.0 | - | 2.0 | 0.27777777777777946 |\n\n"
         "epsilon from median exposure, ln(2) * (median exposure - 1): 0.0\n\n"
         "## Epsilon lower bounds\n\n"
+        "confidence 0.95, each Clopper-Pearson side at (1 - confidence)/2\n\n"
         "| operating point | per-example | point estimate | confident lower bound "
-        "| confidence | tpr | fpr |\n"
-        "|---|---|---|---|---|---|---|\n"
-        "| median | false | 0.47000362924573563 | 0.0 | 0.95 | 0.4 | 0.25 |\n"
-        "| median | true | 0.23500181462286782 | 0.0 | 0.95 | 0.4 | 0.25 |\n"
-        "| fpr_target=0.25 | false | 0.8754687373538999 | 0.0 | 0.95 | 0.6 | 0.25 |\n"
-        "| fpr_target=0.25 | true | 0.4377343686769499 | 0.0 | 0.95 | 0.6 | 0.25 |\n\n"
+        "| tpr | fpr |\n"
+        "|---|---|---|---|---|---|\n"
+        "| median | false | 0.47000362924573563 | 0.0 | 0.4 | 0.25 |\n"
+        "| median | true | 0.23500181462286782 | 0.0 | 0.4 | 0.25 |\n"
+        "| fpr_target=0.25 | false | 0.8754687373538999 | 0.0 | 0.6 | 0.25 |\n"
+        "| fpr_target=0.25 | true | 0.4377343686769499 | 0.0 | 0.6 | 0.25 |\n\n"
         "## Warnings\n\n"
         "- canary and reference losses are assumed independent (heuristic); "
         "dependence-aware corrections are out of scope\n\n"
@@ -356,8 +359,7 @@ def test_epsilon_bound_row_key_order():
     row = _golden_document()["epsilon_bounds"][0]
     assert list(row) == [
         "operating_point", "threshold", "tpr", "fpr", "canary_hits", "reference_hits",
-        "point_estimate", "confident_lower_bound", "confidence", "alpha_split",
-        "tpr_lower", "fpr_upper", "replications", "per_example",
+        "point_estimate", "confident_lower_bound", "tpr_lower", "fpr_upper", "per_example",
     ]
 
 

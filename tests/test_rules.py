@@ -8,9 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from canaudit import (AuditDataset, DatasetError, GaussianShiftModel, audit_pipeline,
-                      clopper_pearson, epsilon_from_median_exposure, epsilon_point,
-                      exposure_quantile, group_privacy_adjust, operating_points,
+from canaudit import (AuditDataset, DatasetError, GaussianShiftModel, analytic_operating_point,
+                      audit_pipeline, clopper_pearson, epsilon_from_median_exposure,
+                      epsilon_point, exposure_quantile, group_privacy_adjust, operating_points,
                       quantile_p_value, rank, threshold_attack)
 from conftest import make_dataset
 
@@ -74,6 +74,15 @@ def _real_cases():
     # an int beyond the doubles fails the rule, not float()
     yield pytest.param(lambda v: threshold_attack(_D, v), 10**400,
                        "threshold must be within the float range", id="threshold=10**400")
+    # the population rates take a threshold by the rule threshold_attack applies
+    def analytic(threshold):
+        return analytic_operating_point(GaussianShiftModel(mu=1.0, m=3, n=3, seed=0), threshold)
+    for value in ("1", True):
+        yield pytest.param(analytic, value, f"threshold must be a real number, got {value!r}",
+                           id=f"analytic_operating_point-threshold={value!r}")
+    for value in (math.nan, math.inf):
+        yield pytest.param(analytic, value, f"threshold must be finite, got {value!r}",
+                           id=f"analytic_operating_point-threshold={value!r}")
     entries = {"mu": lambda v: GaussianShiftModel(mu=v, m=3, n=3, seed=0),
                "exposure_median": epsilon_from_median_exposure,
                "epsilon": lambda v: group_privacy_adjust(v, 2)}

@@ -87,7 +87,7 @@ def _laplace_bounds(epsilon, seed):
     so both replication cases share them."""
     rng = np.random.default_rng(seed)
     d = AuditDataset(rng.laplace(-epsilon, 1.0, 1000), rng.laplace(0.0, 1.0, 1000))
-    bounds = (epsilon_confident(d, mi, 0.95) for mi in operating_points(d, OPERATING_POINTS))
+    bounds = (epsilon_confident(mi, 0.95) for mi in operating_points(d, OPERATING_POINTS))
     return [(bound.confident_lower_bound, bound.point_estimate) for bound in bounds]
 
 
