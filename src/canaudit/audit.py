@@ -27,9 +27,8 @@ certified per-example epsilon divides the raw bound by k.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import attack
 from .attack import MIResult
@@ -37,7 +36,6 @@ from .baseline import LN2, _log_binomial_pmf, _log_tail
 from .exposure import ExposureReport, exposure_all
 from .ingest import (AuditDataset, _non_negative_integer, _positive_integer, _real, _sequence,
                      _unit_interval)
-from .simulate import _ndtri
 
 INDEPENDENCE_NOTICE = (
     "canary and reference losses are assumed independent (heuristic); "
@@ -133,7 +131,7 @@ def _binomial_tail_root(k: int, trials: int, alpha: float, ge: bool) -> float:
     """
     target, count = math.log(alpha), (k if ge else trials - k)
     log_floor = math.log(count / trials) - 1.0 + target / count
-    z = float(_ndtri(np.float64(alpha)))
+    z = statistics.NormalDist().inv_cdf(alpha)
     x = count / trials + z * math.sqrt(max(k * (trials - k), 1)) / trials ** 1.5
     x = min(max(x, math.exp(log_floor), 2.0 ** -52), (trials + count) / (2 * trials + 1))
     p, first = (x if ge else 1.0 - x), True

@@ -138,9 +138,9 @@ def _column(values, name: str, error: type[ValueError] = ValueError, integer: bo
 
 def _normalize_id(rec_id: str | None) -> str | None:
     if rec_id is not None and not isinstance(rec_id, str):
-        raise DatasetError(f"ids must be strings or None, got {rec_id!r}")
+        raise DatasetError(f"id must be a string, got {rec_id!r}")
     if rec_id and _SURROGATE.search(rec_id):
-        raise DatasetError(f"ids must not hold a lone surrogate, got {rec_id!r}")
+        raise DatasetError(f"id must not hold a lone surrogate, got {rec_id!r}")
     return (rec_id or "").strip() or None
 
 
@@ -324,11 +324,10 @@ def _dataset(records) -> AuditDataset:
     for line, role, loss, rec_id, reps in records:
         role = _normalize_role(role, line)
         losses[role].append(_parse_loss(loss, line))
-        if rec_id is not None and not isinstance(rec_id, str):
-            raise DatasetError(f"line {line}: id must be a string, got {rec_id!r}")
-        if rec_id is not None and _SURROGATE.search(rec_id):
-            raise DatasetError(f"line {line}: id must not hold a lone surrogate, got {rec_id!r}")
-        ids[role].append(rec_id)
+        try:
+            ids[role].append(_normalize_id(rec_id))
+        except DatasetError as exc:
+            raise DatasetError(f"line {line}: {exc}") from None
         if type(reps) is not int or reps != 1:  # a plain 1 needs no check
             reps = _parse_replications(reps, role, line)
         if role == "canary":

@@ -330,7 +330,7 @@ def _run_in_fresh_interpreter(code):
 
 def test_import_and_roc_leave_scipy_unloaded(tmp_path):
     # scipy.special is a third of the start-up time; simulate samples with
-    # its own port of Cephes ndtri, so no command but the tests' oracles
+    # numpy's standard normal sampler, so no command but the tests' oracles
     # needs it
     path = _write_dataset(tmp_path, make_dataset([1.0, 3.0], [2.0]))
     out_file = str(tmp_path / "sweep.csv")

@@ -421,7 +421,7 @@ def test_dataset_is_not_equal_to_other_types():
 
 
 def test_ids_must_be_strings():
-    with pytest.raises(DatasetError, match="ids must be strings or None"):
+    with pytest.raises(DatasetError, match="id must be a string, got 1"):
         AuditDataset([1.0], [2.0], canary_ids=[1])
 
 

@@ -99,7 +99,7 @@ def _column_cases():
                            id=f"canary_ids={ids!r}")
     # UTF-8 cannot encode a lone surrogate, so no report could write the id
     yield pytest.param(with_ids, ["a", "b\ud800", None],
-                       "ids must not hold a lone surrogate, got 'b\\ud800'",
+                       "id must not hold a lone surrogate, got 'b\\ud800'",
                        id="canary_ids-lone-surrogate")
     yield pytest.param(lambda r: quantile_p_value(r, 10, 0.5), [1.5, 2.5],
                        "ranks must be integers, got dtype float64", id="ranks=[1.5, 2.5]")
