@@ -28,20 +28,20 @@ def show(d, result, title):
     print(f"  median exposure {median_exposure:+.4f} "
           f"(random-guessing baseline 1.0), exposure-form eps "
           f"{epsilon_from_median_exposure(median_exposure):+.4f}")
-    for outcome in result.outcomes:
-        bound = outcome.bound
+    for row in result.outcomes:
+        bound = row.bound
+        if bound.per_example:
+            print(f"      per-example (replications {d.replications}): "
+                  f"eps >= {bound.confident_lower_bound:.4f}")
+            continue
         point = (f"{bound.point_estimate:.4f}"
                  if bound.point_estimate != float("inf") else "inf")
-        print(f"  [{outcome.operating_point}] tpr {outcome.mi.tpr:.4f} "
-              f"fpr {outcome.mi.fpr:.4f}  eps point {point}  "
+        print(f"  [{row.operating_point}] tpr {row.mi.tpr:.4f} "
+              f"fpr {row.mi.fpr:.4f}  eps point {point}  "
               f"eps certified >= {bound.confident_lower_bound:.4f} "
               f"@ {result.confidence:.0%}")
-        if outcome.per_example_bound is not None:
-            per = outcome.per_example_bound
-            print(f"      per-example (replications {d.replications}): "
-                  f"eps >= {per.confident_lower_bound:.4f}")
-        if outcome.warning:
-            print(f"      warning: {outcome.warning}")
+    for warning in result.warnings[1:]:  # after the independence notice
+        print(f"  warning: {warning}")
     print()
 
 

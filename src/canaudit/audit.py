@@ -21,7 +21,7 @@ sides by a union bound. All canary and reference losses are assumed
 independent; this is a heuristic, and every report says so.
 
 Canaries duplicated k times in training leak through group privacy; the
-certified per-example epsilon divides the raw bound by k.
+certified per-example epsilon, a row after the raw one, divides it by k.
 """
 
 from __future__ import annotations
@@ -64,27 +64,21 @@ class EpsilonBound:
 
 @dataclass(frozen=True)
 class AuditOutcome:
-    """One operating point's attack result and bounds."""
+    """One report row: an operating point's attack result and one of its bounds."""
 
     operating_point: str
     mi: MIResult
     bound: EpsilonBound
-    per_example_bound: EpsilonBound | None
-    warning: str | None
 
 
 @dataclass(frozen=True)
 class AuditResult:
-    """Everything audit_pipeline computed for one dataset."""
+    """audit_pipeline's result: the report's bound rows and its warnings."""
 
     exposure_report: ExposureReport
     outcomes: tuple[AuditOutcome, ...]
     confidence: float
-
-    def bounds(self) -> list[tuple[AuditOutcome, EpsilonBound]]:
-        """Each bound with its outcome, in the order of the report's rows."""
-        return [(outcome, bound) for outcome in self.outcomes
-                for bound in (outcome.bound, outcome.per_example_bound) if bound is not None]
+    warnings: tuple[str, ...]
 
 
 def epsilon_point(tpr: float, fpr: float) -> float:
@@ -222,26 +216,27 @@ def audit_pipeline(
 
     ``attack.operating_points`` says what a point is and evaluates them
     all. Every bound is ``epsilon_confident`` at its own attack's counts,
-    not at the exposure report's ranks. When canaries were replicated, a
-    per-example bound divided by the replication count accompanies the
-    raw one. Outcomes appear in request order.
+    not at the exposure report's ranks. Rows appear in request order, each
+    raw row followed, when canaries were replicated, by its per-example row.
+    A target is spelled by ``:g``, or by ``repr`` where ``:g`` rounds it.
     """
     _unit_interval(confidence, "confidence")
     report = exposure_all(d)
     points = _sequence(operating_points, "operating points")  # labelled and evaluated: read once
-    outcomes = []
+    outcomes, warnings = [], [INDEPENDENCE_NOTICE]
     for op, mi in zip(points, attack.operating_points(d, points)):
-        label, warning = "median", None
+        label = "median"
         if not isinstance(op, str):  # an fpr target
             target = float(op)
-            label = f"fpr_target={target:g}"
+            spelled = f"{target:g}" if float(f"{target:g}") == target else repr(target)
+            label = f"fpr_target={spelled}"
             if 0.0 < target < 1.0 / d.n:
-                warning = (
-                    f"fpr target {target:g} is below the achievable resolution "
+                warnings.append(
+                    f"fpr target {spelled} is below the achievable resolution "
                     f"1/n = {1.0 / d.n:g}; bound computed at achieved fpr {mi.fpr:g}"
                 )
         bound = epsilon_confident(mi, confidence)
-        per_example_bound = _per_example(bound, d.replications) if d.replications > 1 else None
-        outcomes.append(AuditOutcome(operating_point=label, mi=mi, bound=bound,
-                                     per_example_bound=per_example_bound, warning=warning))
-    return AuditResult(exposure_report=report, outcomes=tuple(outcomes), confidence=confidence)
+        outcomes.append(AuditOutcome(label, mi, bound))
+        if d.replications > 1:
+            outcomes.append(AuditOutcome(label, mi, _per_example(bound, d.replications)))
+    return AuditResult(report, tuple(outcomes), confidence, tuple(warnings))

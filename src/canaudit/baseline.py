@@ -67,10 +67,10 @@ def baseline_quantile_exposure(q: float) -> float:
 
     Exposure exceeds -log2(1-q) for exactly a (1-q) fraction of randomly
     ranked canaries, so the median baseline is 1 and the 0.75 quantile
-    baseline is 2.
+    baseline is 2. Below q = 0.5, where 1 - q rounds, log1p keeps the digits.
     """
     _unit_interval(q, "q")
-    return -math.log2(1.0 - q)
+    return -math.log1p(-q) / LN2 if q < 0.5 else -math.log2(1.0 - q)
 
 
 def exact_baseline(m: int, n: int, q: float | None = None) -> BaselineSummary:

@@ -8,10 +8,10 @@ exposure, log2(n) - log2(rank), and empirical FPR, (rank - 1)/n, which
 the JSON leaves out and the Markdown and CSV renderings derive from its
 rank. One writer, ``_table``, lays out every Markdown table.
 
-An ``epsilon_bounds`` row is its attack's operating point and counts,
-then every ``EpsilonBound`` field in declaration order (inf as null), so
-a new field is a schema change. The rows share ``parameters.confidence``
-and ``dataset.replications``.
+An ``epsilon_bounds`` row is one of ``AuditResult.outcomes``: its operating
+point and counts, then every ``EpsilonBound`` field in declaration order
+(inf as null), so a new field is a schema change. The rows share
+``parameters.confidence`` and ``dataset.replications``.
 
 Per-canary values are stored as columns; the JSON is strict (null for inf)
 and compact, one line (``jq .`` indents it). The CSV quotes ids by the
@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .audit import INDEPENDENCE_NOTICE, AuditResult, epsilon_from_median_exposure
+from .audit import AuditResult, epsilon_from_median_exposure
 from .baseline import (baseline_quantile_exposure, expected_exposure_asymptote,
                        expected_exposure_exact, quantile_p_value)
 from .exposure import ExposureReport, _exposure
@@ -70,28 +70,27 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def _bound_rows(result: AuditResult) -> list[dict]:
-    """Per bound of ``AuditResult.bounds``: its attack's operating point and
+    """Per row of ``AuditResult.outcomes``: its attack's operating point and
     counts, then the bound's fields in declaration order."""
     return [{"operating_point": outcome.operating_point,
              "threshold": _finite_or_none(outcome.mi.threshold), "tpr": outcome.mi.tpr,
              "fpr": outcome.mi.fpr, "canary_hits": outcome.mi.canary_hits,
-             "reference_hits": outcome.mi.reference_hits, **vars(bound),
-             "point_estimate": _finite_or_none(bound.point_estimate)}
-            for outcome, bound in result.bounds()]
+             "reference_hits": outcome.mi.reference_hits, **vars(outcome.bound),
+             "point_estimate": _finite_or_none(outcome.bound.point_estimate)}
+            for outcome in result.outcomes]
 
 
 def build_report(d: AuditDataset, result: AuditResult) -> dict:
     """Assemble the full audit report document as JSON-ready primitives."""
     report = result.exposure_report
-    warnings = [INDEPENDENCE_NOTICE]
-    warnings += [o.warning for o in result.outcomes if o.warning is not None]
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "dataset": dataset_summary(d),
         "parameters": {
             "confidence": result.confidence,
-            "operating_points": [o.operating_point for o in result.outcomes],
+            "operating_points": [o.operating_point for o in result.outcomes
+                                 if not o.bound.per_example],
         },
         "exposure": {
             "m": report.m,
@@ -105,7 +104,7 @@ def build_report(d: AuditDataset, result: AuditResult) -> dict:
         },
         "baselines": _baseline_rows(report),
         "epsilon_bounds": _bound_rows(result),
-        "warnings": warnings,
+        "warnings": list(result.warnings),
         "histogram": _histogram(report.exposures, d.n),
     }
 

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from canaudit import (
+    INDEPENDENCE_NOTICE,
     GaussianShiftModel,
     audit_pipeline,
     build_report,
@@ -286,10 +288,11 @@ def test_pipeline_unachievable_fpr_target_warns():
     d = simulate(GaussianShiftModel(mu=1.0, m=100, n=100, seed=4))
     result = audit_pipeline(d, operating_points=("median", 0.001))
     low_fpr = result.outcomes[1]
-    assert low_fpr.warning is not None and "resolution" in low_fpr.warning
     assert low_fpr.mi.fpr == 0.0
-    median = result.outcomes[0]
-    assert median.warning is None
+    # the notice, then one warning for the target; the median row adds none
+    notice, warning = result.warnings
+    assert notice == INDEPENDENCE_NOTICE
+    assert warning.startswith("fpr target 0.001 ") and "resolution" in warning
 
 
 def test_pipeline_replications_emit_per_example_bounds():
@@ -297,14 +300,15 @@ def test_pipeline_replications_emit_per_example_bounds():
     d = make_dataset(rng.normal(-3.0, 1.0, size=200), rng.normal(size=200),
                      replications=4)
     result = audit_pipeline(d, operating_points=("median", 0.05))
-    for outcome in result.outcomes:
-        raw = outcome.bound
-        per = outcome.per_example_bound
-        assert per is not None and per.per_example
+    assert len(result.outcomes) == 4
+    # each raw row is followed by its per-example row, with the same label and attack
+    for raw_row, per_row in zip(result.outcomes[::2], result.outcomes[1::2]):
+        raw, per = raw_row.bound, per_row.bound
+        assert not raw.per_example and per.per_example
+        assert (per_row.operating_point, per_row.mi) == (raw_row.operating_point, raw_row.mi)
         assert per.confident_lower_bound == raw.confident_lower_bound / 4
         assert per.point_estimate == raw.point_estimate / 4
         assert (per.tpr_lower, per.fpr_upper) == (raw.tpr_lower, raw.fpr_upper)
-    assert len(result.bounds()) == 4
 
 
 def test_pipeline_bound_invariants_across_seeds():
@@ -326,6 +330,20 @@ def test_pipeline_respects_request_order_and_baselines():
     result = audit_pipeline(d, operating_points=(0.5, "median"))
     assert result.outcomes[0].operating_point == "fpr_target=0.5"
     assert result.outcomes[1].operating_point == "median"
+
+
+def test_pipeline_labels_near_equal_targets_apart():
+    # :g keeps 6 significant digits; a target it would round is spelled by repr
+    d = make_dataset([1.0, 2.0, 3.0], [0.5, 1.5, 2.5, 3.5])
+    targets = (0.00100000001, 0.001, Fraction(1, 3), 1e-5, 0.25)
+    labels = [o.operating_point for o in audit_pipeline(d, targets).outcomes]
+    assert labels == ["fpr_target=0.00100000001", "fpr_target=0.001",
+                      "fpr_target=0.3333333333333333", "fpr_target=1e-05", "fpr_target=0.25"]
+    for label, target in zip(labels, targets):
+        assert float(label.removeprefix("fpr_target=")) == float(target)
+    # the resolution warning spells its target the same way
+    warning = audit_pipeline(d, [0.00100000001]).warnings[1]
+    assert warning.startswith("fpr target 0.00100000001 is below")
 
 
 def test_pipeline_reads_a_generator_of_points_once():

@@ -71,6 +71,13 @@ def test_quantile_baseline_values():
     assert baseline_quantile_exposure(0.875) == 3.0
 
 
+def test_quantile_baseline_keeps_digits_at_small_q():
+    # 1 - q rounds at small q; log1p(-q) keeps every digit of the leading term q / ln 2
+    for q in (1e-10, 1e-300):
+        assert baseline_quantile_exposure(q) == pytest.approx(q / math.log(2.0), rel=1e-12)
+    assert baseline_quantile_exposure(1e-300) > 0.0
+
+
 def test_quantile_baseline_strictly_increasing():
     qs = np.linspace(0.01, 0.99, 99)
     values = [baseline_quantile_exposure(q) for q in qs]

@@ -67,8 +67,8 @@ def test_audit_reports_raw_and_per_example_bounds(tmp_path, capsys):
     # fpr 0: both point estimates are infinite, null in the JSON
     assert raw["fpr"] == 0.0
     assert raw["point_estimate"] is None and per["point_estimate"] is None
-    outcome = audit_pipeline(d).outcomes[0]
-    assert outcome.per_example_bound.point_estimate == outcome.bound.point_estimate / 4
+    raw_row, per_row = audit_pipeline(d).outcomes
+    assert per_row.bound.point_estimate == raw_row.bound.point_estimate / 4
 
 
 def test_audit_warns_on_unachievable_fpr_target(tmp_path, capsys):

@@ -14,7 +14,6 @@ point estimate instead fails that check. Run with ``pytest -s`` to see
 the measured rates.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -24,10 +23,7 @@ from canaudit import (
     AuditDataset,
     GaussianShiftModel,
     audit_pipeline,
-    epsilon_confident,
     exposure_all,
-    group_privacy_adjust,
-    operating_points,
     simulate,
 )
 from canaudit.report import _baseline_rows
@@ -45,11 +41,11 @@ def test_null_false_certification_rate(replications):
         d = AuditDataset(null.canary_losses, null.reference_losses,
                          replications=replications)
         result = audit_pipeline(d, OPERATING_POINTS)
-        for outcome, bound in result.bounds():
-            name = outcome.operating_point + " per-example" * bound.per_example
-            positives[name] = positives.get(name, 0) + (bound.confident_lower_bound > 0.0)
+        for row in result.outcomes:
+            name = row.operating_point + " per-example" * row.bound.per_example
+            positives[name] = positives.get(name, 0) + (row.bound.confident_lower_bound > 0.0)
         positives["any bound"] = positives.get("any bound", 0) + any(
-            bound.confident_lower_bound > 0.0 for _, bound in result.bounds())
+            row.bound.confident_lower_bound > 0.0 for row in result.outcomes)
 
     rates = {name: count / SEEDS for name, count in positives.items()}
     for name, rate in rates.items():
@@ -80,27 +76,20 @@ def test_null_p_value_rejection_rate(m, n, decimals):
     assert all(rate <= LIMIT for rate in rates.values()), rates
 
 
-@functools.cache
-def _laplace_bounds(epsilon, seed):
-    """Per operating point, the certified bound and the point estimate of m = n
-    = 1000 Laplace-shifted losses. Neither depends on the replication count,
-    so both replication cases share them."""
-    rng = np.random.default_rng(seed)
-    d = AuditDataset(rng.laplace(-epsilon, 1.0, 1000), rng.laplace(0.0, 1.0, 1000))
-    bounds = (epsilon_confident(mi, 0.95) for mi in operating_points(d, OPERATING_POINTS))
-    return [(bound.confident_lower_bound, bound.point_estimate) for bound in bounds]
-
-
 def _laplace_audit(epsilon, replications, seed):
-    """Bounds-only audit of m = n = 1000 Laplace-shifted losses: the row names
-    and, per row, its certified bound, its point estimate floored at 0 and
-    its true epsilon (divided by the replications on per-example rows)."""
+    """Audit of m = n = 1000 Laplace-shifted losses whose canaries were
+    replicated: the row names and, per row, its certified bound, its point
+    estimate floored at 0 and its true epsilon, divided by the replications
+    on a per-example row."""
+    rng = np.random.default_rng(seed)
+    d = AuditDataset(rng.laplace(-epsilon, 1.0, 1000), rng.laplace(0.0, 1.0, 1000),
+                     replications=replications)
     names, values = [], []
-    for point, (bound, estimate) in zip(OPERATING_POINTS, _laplace_bounds(epsilon, seed)):
-        for k in sorted({1, replications}):
-            names.append(f"{point}" + " per-example" * (k > 1))
-            values.append([group_privacy_adjust(bound, k),
-                           group_privacy_adjust(max(0.0, estimate), k), epsilon / k])
+    for row in audit_pipeline(d, OPERATING_POINTS).outcomes:
+        bound = row.bound
+        names.append(row.operating_point + " per-example" * bound.per_example)
+        values.append([bound.confident_lower_bound, max(0.0, bound.point_estimate),
+                       epsilon / replications if bound.per_example else epsilon])
     return names, values
 
 
