@@ -4,11 +4,13 @@ Exit codes: 0 on success, 1 on a dataset parse/validation problem, an
 unreadable input, an unwritable output or arrays that memory cannot hold
 (diagnostic on stderr), 2 on invalid flags. Every flag is checked before the
 input is read, by the library rule that owns it and with that rule's message.
+A loss file is JSON Lines if ``{`` leads it past a BOM and whitespace, else CSV.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -30,8 +32,8 @@ def _flag_checked(parser: argparse.ArgumentParser, check, *args, **kwargs):
 
 
 def _load_dataset(args: argparse.Namespace):
-    format = args.format or ("jsonl" if args.file.lower().endswith(".jsonl") else "csv")
-    return parse_dataset(Path(args.file).read_bytes(), format)
+    raw = Path(args.file).read_bytes()
+    return parse_dataset(raw, "jsonl" if re.match(rb"(?:\xef\xbb\xbf)?\s*{", raw) else "csv")
 
 
 def _write(text: str, out_file: str | None) -> None:
@@ -102,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         "audit", help="exposure report, baselines, and epsilon lower bounds"
     )
     audit.add_argument("file", help="loss file (CSV or JSONL)")
-    audit.add_argument("--format", choices=["csv", "jsonl"], default=None,
-                       help="input format (default: by file extension)")
     audit.add_argument("--confidence", type=float, default=0.95,
                        help="confidence level for epsilon bounds (default 0.95)")
     audit.add_argument("--fpr-target", type=float, action="append", default=[],
@@ -135,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     roc_cmd = sub.add_parser("roc", help="full threshold sweep as CSV")
     roc_cmd.add_argument("file", help="loss file (CSV or JSONL)")
-    roc_cmd.add_argument("--format", choices=["csv", "jsonl"], default=None)
     roc_cmd.add_argument("--out-file", default=None,
                          help="write CSV here instead of stdout")
     roc_cmd.set_defaults(func=_cmd_roc)

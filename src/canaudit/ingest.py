@@ -67,32 +67,32 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _integer(value, name: str, least: int, error: type[ValueError]) -> int:
+def _integer(value, name: str, least: int) -> int:
     """``value`` as an int, if it is an integer of any type but bool and >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         sign = "positive" if least else "non-negative"
-        raise error(f"{name} must be a {sign} integer, got {value!r}")
+        raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
     return int(value)
 
 
-def _positive_integer(value, name: str, error: type[ValueError] = ValueError) -> int:
-    return _integer(value, name, 1, error)
+def _positive_integer(value, name: str) -> int:
+    return _integer(value, name, 1)
 
 
 def _non_negative_integer(value, name: str) -> int:
-    return _integer(value, name, 0, ValueError)
+    return _integer(value, name, 0)
 
 
-def _real(value, name: str, finite: bool = False, error: type[ValueError] = ValueError) -> float:
+def _real(value, name: str, finite: bool = False) -> float:
     """``value`` as a float: a real number of any type but bool, finite if ``finite``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         real = float(value)
     except OverflowError:  # beyond the doubles; a huge int's repr can exceed the digit limit
-        raise error(f"{name} must be within the float range") from None
+        raise ValueError(f"{name} must be within the float range") from None
     if finite and not math.isfinite(real):
-        raise error(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return real
 
 
@@ -103,36 +103,35 @@ def _unit_interval(value, name: str, closed: bool = False) -> None:
         raise ValueError(f"{name} must be in {'[0, 1]' if closed else '(0, 1)'}, got {value}")
 
 
-def _sequence(value, what: str, error: type[ValueError] = ValueError) -> list:
+def _sequence(value, what: str) -> list:
     """``value`` read once into a list; a bare string, bytes or number is not a sequence."""
     if isinstance(value, (str, bytes, numbers.Number)):
-        raise error(f"expected a sequence of {what}, got {value!r}")
+        raise ValueError(f"expected a sequence of {what}, got {value!r}")
     return list(value)
 
 
-def _column(values, name: str, error: type[ValueError] = ValueError, integer: bool = False,
-            empty: str | None = None) -> np.ndarray:
+def _column(values, name: str, integer: bool = False, empty: str | None = None) -> np.ndarray:
     """``values`` as a non-empty 1-D array: integers if ``integer``, else finite float64."""
     try:
         array = np.asarray(values)
     except ValueError:  # nested sequences of unequal lengths have no shape
-        raise error(f"{name} must be 1-D, got a ragged sequence") from None
+        raise ValueError(f"{name} must be 1-D, got a ragged sequence") from None
     if array.ndim != 1:
-        raise error(f"{name} must be 1-D, got shape {array.shape}")
+        raise ValueError(f"{name} must be 1-D, got shape {array.shape}")
     if array.size == 0:
-        raise error(empty or f"{name} must be non-empty")
+        raise ValueError(empty or f"{name} must be non-empty")
     what, kinds = ("integers", "iu") if integer else ("real numbers", "iufO")
     if array.dtype.kind not in kinds:
-        raise error(f"{name} must be {what}, got dtype {array.dtype}")
+        raise ValueError(f"{name} must be {what}, got dtype {array.dtype}")
     for value in array if array.dtype.kind == "O" else ():
-        _real(value, f"an element of {name}", error=error)
+        _real(value, f"an element of {name}")
     if isinstance(values, (list, tuple)):  # np.asarray reads a bool among numbers as 1 or 0
         for value in values:
             if isinstance(value, (bool, np.bool_)):
-                _real(value, f"an element of {name}", error=error)
+                _real(value, f"an element of {name}")
     array = array if integer else array.astype(np.float64, copy=False)
     if not np.isfinite(array).all():
-        raise error(f"{name} must be finite")
+        raise ValueError(f"{name} must be finite")
     return array
 
 
@@ -163,20 +162,22 @@ class AuditDataset:
     replications: int = 1
 
     def __post_init__(self):
-        for role, count in (("canary", "m"), ("reference", "n")):
-            losses = _column(getattr(self, f"{role}_losses"), f"{role} losses", DatasetError,
-                             empty=f"dataset has no {role} records ({count} >= 1 required)")
-            ids = getattr(self, f"{role}_ids")
-            if ids is not None:
-                ids = tuple(map(_normalize_id, _sequence(ids, f"{role} ids", DatasetError)))
-                if len(ids) != losses.size:
-                    raise DatasetError(f"{role} ids: got {len(ids)} for {losses.size} losses")
-                if all(rec_id is None for rec_id in ids):
-                    ids = None
-            object.__setattr__(self, f"{role}_losses", _read_only(np.array(losses)))
-            object.__setattr__(self, f"{role}_ids", ids)
-        object.__setattr__(self, "replications",
-                           _positive_integer(self.replications, "replications", DatasetError))
+        try:
+            for role, count in (("canary", "m"), ("reference", "n")):
+                losses = _column(getattr(self, f"{role}_losses"), f"{role} losses",
+                                 empty=f"dataset has no {role} records ({count} >= 1 required)")
+                ids = getattr(self, f"{role}_ids")
+                if ids is not None:
+                    ids = tuple(map(_normalize_id, _sequence(ids, f"{role} ids")))
+                    if len(ids) != losses.size:
+                        raise ValueError(f"{role} ids: got {len(ids)} for {losses.size} losses")
+                    ids = ids if any(rec_id is not None for rec_id in ids) else None
+                object.__setattr__(self, f"{role}_losses", _read_only(np.array(losses)))
+                object.__setattr__(self, f"{role}_ids", ids)
+            object.__setattr__(self, "replications",
+                               _positive_integer(self.replications, "replications"))
+        except ValueError as exc:
+            raise DatasetError(str(exc)) from None
 
     def __eq__(self, other):
         if not isinstance(other, AuditDataset):

@@ -101,22 +101,54 @@ def test_audit_markdown_and_csv_outputs(tmp_path, capsys):
 
 
 def test_audit_format_inference_and_override(tmp_path, capsys):
+    # the content decides the format: CSV under a .txt name reads with no flag
     d = make_dataset([1.0], [2.0])
-    jsonl_path = _write_dataset(tmp_path, d, format="jsonl")
-    assert main(["audit", jsonl_path]) == 0
-    capsys.readouterr()
-    # csv contents under a .txt name need the explicit flag
     txt_path = tmp_path / "data.txt"
     txt_path.write_text(serialize_dataset(d, "csv"), encoding="utf-8")
-    assert main(["audit", str(txt_path), "--format", "csv"]) == 0
-    capsys.readouterr()
-
-
-def test_audit_infers_jsonl_from_an_upper_case_extension(tmp_path, capsys):
-    path = tmp_path / "d.JSONL"
-    path.write_text(serialize_dataset(make_dataset([1.0], [2.0]), "jsonl"), encoding="utf-8")
-    assert main(["audit", str(path)]) == 0
+    assert main(["audit", str(txt_path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+_NAMES = ("d.csv", "d.jsonl", "d.txt", "d.ndjson", "d.JSON")
+
+
+@pytest.mark.parametrize("format,name,prefix", [
+    *((format, name, "") for format in ("csv", "jsonl") for name in _NAMES),
+    # a byte order mark and blank lines may come before the first record
+    *(("jsonl", name, "\ufeff\n\n") for name in _NAMES),
+])
+def test_format_follows_the_content_not_the_name(tmp_path, capsys, format, name, prefix):
+    d = make_dataset([0.5, 1.5, 3.0], [1.0, 2.0, 2.5], ids=["a", None, "c"])
+    expected = _write_dataset(tmp_path, d, name="expected")
+    path = tmp_path / name
+    path.write_text(prefix + serialize_dataset(d, format), encoding="utf-8")
+    for command in (["audit", "{}", "--out", "json"], ["roc", "{}"]):
+        assert main([arg.format(expected) for arg in command]) == 0
+        want = capsys.readouterr().out
+        assert main([arg.format(path) for arg in command]) == 0
+        assert capsys.readouterr() == (want, "")
+
+
+def test_quoted_csv_header_reads_as_csv(tmp_path, capsys):
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("role,loss\ncanary,1.0\nreference,2.0\n", encoding="utf-8")
+    quoted.write_text('"role","loss"\ncanary,1.0\nreference,2.0\n', encoding="utf-8")
+    assert main(["audit", str(plain)]) == 0
+    want = capsys.readouterr().out
+    assert main(["audit", str(quoted)]) == 0
+    assert capsys.readouterr() == (want, "")
+
+
+@pytest.mark.parametrize("text,message", [
+    # no byte opens a JSON object, so a .jsonl name still reads as CSV
+    ("", "empty file: missing CSV header"),
+    ("\n\n", "header: expected leading columns role,loss, got []"),
+])
+def test_empty_or_blank_file_reads_as_csv(tmp_path, capsys, text, message):
+    path = tmp_path / "empty.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert main(["audit", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_audit_missing_file_exits_one(tmp_path, capsys):
@@ -225,6 +257,9 @@ def test_invalid_flags_exit_two(tmp_path):
     # a common scale of the losses changes no rank: the model has none
     (["simulate", "--mu", "1", "--m", "5", "--n", "5", "--out-file", "x.csv", "--sigma", "1"],
      "unrecognized arguments: --sigma 1"),
+    # the content of the file decides its format
+    (["audit", "absent.csv", "--format", "csv"], "unrecognized arguments: --format csv"),
+    (["roc", "absent.jsonl", "--format", "jsonl"], "unrecognized arguments: --format jsonl"),
 ])
 def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
     monkeypatch.chdir(tmp_path)
