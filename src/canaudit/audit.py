@@ -207,6 +207,11 @@ def _per_example(bound: EpsilonBound, k: int) -> EpsilonBound:
                    per_example=True)
 
 
+def _spelled(value: float) -> str:
+    """``value`` by ``:g``, or by ``repr`` where ``:g`` rounds it."""
+    return f"{value:g}" if float(f"{value:g}") == value else repr(value)
+
+
 def audit_pipeline(
     d: AuditDataset,
     operating_points=("median",),
@@ -218,7 +223,7 @@ def audit_pipeline(
     all. Every bound is ``epsilon_confident`` at its own attack's counts,
     not at the exposure report's ranks. Rows appear in request order, each
     raw row followed, when canaries were replicated, by its per-example row.
-    A target is spelled by ``:g``, or by ``repr`` where ``:g`` rounds it.
+    A target's label is ``fpr_target=`` and the target as ``_spelled`` writes it.
     """
     _unit_interval(confidence, "confidence")
     report = exposure_all(d)
@@ -228,7 +233,7 @@ def audit_pipeline(
         label = "median"
         if not isinstance(op, str):  # an fpr target
             target = float(op)
-            spelled = f"{target:g}" if float(f"{target:g}") == target else repr(target)
+            spelled = _spelled(target)
             label = f"fpr_target={spelled}"
             if 0.0 < target < 1.0 / d.n:
                 warnings.append(

@@ -4,18 +4,16 @@ Exit codes: 0 on success, 1 on a dataset parse/validation problem, an
 unreadable input, an unwritable output or arrays that memory cannot hold
 (diagnostic on stderr), 2 on invalid flags. Every flag is checked before the
 input is read, by the library rule that owns it and with that rule's message.
-A loss file is JSON Lines if ``{`` leads it past a BOM and whitespace, else CSV.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
 from .attack import roc, roc_to_csv
-from .audit import audit_pipeline
+from .audit import _spelled, audit_pipeline
 from .baseline import exact_baseline
 from .ingest import DatasetError, _unit_interval, parse_dataset, serialize_dataset
 from .report import build_report, render_csv, render_json, render_markdown
@@ -29,11 +27,6 @@ def _flag_checked(parser: argparse.ArgumentParser, check, *args, **kwargs):
         return check(*args, **kwargs)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _load_dataset(args: argparse.Namespace):
-    raw = Path(args.file).read_bytes()
-    return parse_dataset(raw, "jsonl" if re.match(rb"(?:\xef\xbb\xbf)?\s*{", raw) else "csv")
 
 
 def _write(text: str, out_file: str | None) -> None:
@@ -58,7 +51,7 @@ def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     _flag_checked(parser, _unit_interval, args.confidence, "--confidence")
     for target in args.fpr_target:
         _flag_checked(parser, _unit_interval, target, "--fpr-target", closed=True)
-    d = _load_dataset(args)
+    d = parse_dataset(Path(args.file).read_bytes())
     result = audit_pipeline(d, ["median", *args.fpr_target], confidence=args.confidence)
     document = build_report(d, result)
     renderer = {"json": render_json, "md": render_markdown, "csv": render_csv}[args.out]
@@ -69,7 +62,7 @@ def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     q = _parse_statistic(parser, args.statistic)
     summary = _flag_checked(parser, exact_baseline, args.m, args.n, q)
-    name = "mean" if q is None else f"quantile {q:g}"
+    name = "mean" if q is None else f"quantile {_spelled(q)}"
     print(f"random-guessing baseline for {name} exposure (m={args.m}, n={args.n})")
     print(f"  exact:       {summary.mean!r}")
     print(f"  asymptotic:  {summary.asymptotic_value!r}")
@@ -89,7 +82,7 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_roc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _write(roc_to_csv(roc(_load_dataset(args))), args.out_file)
+    _write(roc_to_csv(roc(parse_dataset(Path(args.file).read_bytes()))), args.out_file)
     return 0
 
 

@@ -52,6 +52,8 @@ _JSONL_KEYS = frozenset(("role", "loss", "id", "replications"))
 _CSV_SPECIAL = frozenset(',"\n\r')
 # Code points UTF-8 cannot encode (JSON reads "\ud800" as one): no report could write them.
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# A JSON Lines file opens with an object; a CSV header's first cell strips to "role".
+_JSONL_START = re.compile("[ \t\n\r\f\v]*{")
 
 # The bulk reader converts about this many characters of whole lines at a
 # time, so its transient lists and objects stay a few MB whatever the file.
@@ -291,6 +293,18 @@ def _csv_records(text: str):
                1 if reps_at is None else row[reps_at].strip() or 1)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, unless a key repeats: ``json.loads`` keeps its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError(f"duplicate keys in {[key for key, _ in pairs]!r}")
+    return obj
+
+
+# One decoder for every line: ``json.loads`` with a hook builds a decoder per call.
+_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _jsonl_records(text: str):
     """(line, role, loss, id, replications) per JSON Lines object, as the
     object holds them; replications is 1 when absent. A line ends at a line
@@ -300,10 +314,10 @@ def _jsonl_records(text: str):
         if not raw.strip():
             continue
         try:
-            obj = json.loads(raw)
+            obj = _JSON_DECODER.decode(raw)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"line {line}: malformed JSON ({exc.msg})") from None
-        except (ValueError, RecursionError) as exc:  # too many digits, too deep
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep, a repeated key
             raise DatasetError(f"line {line}: {exc}") from None
         if not isinstance(obj, dict):
             raise DatasetError(f"line {line}: expected a JSON object, got {obj!r}")
@@ -483,15 +497,17 @@ def _read_bulk(text: str, format: str) -> AuditDataset | None:
     return AuditDataset(np.concatenate(canaries), np.concatenate(references))
 
 
-def parse_dataset(raw: bytes | str, format: str) -> AuditDataset:
+def parse_dataset(raw: bytes | str) -> AuditDataset:
     """Parse a loss file into a validated AuditDataset.
 
+    The content decides the format: past one leading byte order mark and
+    any ASCII whitespace, ``{`` opens JSON Lines (one object per line with
+    keys ``role``, ``loss``, optional ``id`` and ``replications``, none
+    repeated), and anything else reads as CSV (header
+    ``role,loss[,id][,replications]``).
+
     Args:
-      raw: File contents, UTF-8 bytes or text; one leading byte order
-        mark is skipped.
-      format: ``"csv"`` (header ``role,loss[,id][,replications]``) or
-        ``"jsonl"`` (one object per line with keys ``role``, ``loss``,
-        optional ``id`` and ``replications``).
+      raw: File contents, UTF-8 bytes or text.
 
     Returns:
       An AuditDataset preserving input order within each role.
@@ -501,8 +517,6 @@ def parse_dataset(raw: bytes | str, format: str) -> AuditDataset:
         losses, unknown roles or columns, empty canary or reference sets,
         or mixed canary replication counts.
     """
-    if format not in ("csv", "jsonl"):
-        raise ValueError(f"format must be 'csv' or 'jsonl', got {format!r}")
     if isinstance(raw, bytes):
         try:
             text = raw.decode("utf-8")
@@ -511,6 +525,7 @@ def parse_dataset(raw: bytes | str, format: str) -> AuditDataset:
     else:
         text = raw
     text = text.removeprefix("\ufeff")
+    format = "jsonl" if _JSONL_START.match(text) else "csv"
     d = _read_bulk(text, format)
     if d is None:
         d = _dataset(_csv_records(text) if format == "csv" else _jsonl_records(text))

@@ -224,7 +224,7 @@ def test_criterion_10_full_audit_performance():
     text = serialize_dataset(d0, "csv").encode()
 
     start = time.perf_counter()
-    d = parse_dataset(text, "csv")
+    d = parse_dataset(text)
     result = audit_pipeline(d, operating_points=("median", 0.001))
     points = roc(d)
     elapsed = time.perf_counter() - start

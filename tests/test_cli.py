@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +333,15 @@ def test_baseline_quantile_output(capsys):
         f"null quantile {p:g}" for p in (0.05, 0.25, 0.5, 0.75, 0.95)]
 
 
+def test_baseline_names_the_quantile_it_computed(capsys):
+    # :g would print 0.123457, a quantile the baseline was not computed for
+    for token, name in (("quantile=0.1234567", "quantile 0.1234567"),
+                        ("quantile=0.75", "quantile 0.75")):
+        assert main(["baseline", "--m", "10", "--n", "10", "--statistic", token]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"random-guessing baseline for {name} exposure (m=10, n=10)\n")
+
+
 def test_roc_command_stdout(tmp_path, capsys):
     d = make_dataset([1.0], [2.0])
     path = _write_dataset(tmp_path, d)
@@ -382,8 +394,8 @@ def test_import_and_roc_leave_scipy_unloaded(tmp_path):
     assert _run_in_fresh_interpreter(code).splitlines() == [
         f"wrote 500 canaries and 700 references to {sim}" for sim in sims.values()] + ["[]"]
     assert Path(out_file).read_text().startswith("threshold,fpr,tpr\n")
-    for format, sim in sims.items():
-        d = parse_dataset(Path(sim).read_bytes(), format)
+    for sim in sims.values():
+        d = parse_dataset(Path(sim).read_bytes())
         assert (d.m, d.n) == (500, 700)
 
 
@@ -415,10 +427,30 @@ def test_audit_leaves_scipy_unloaded(tmp_path):
         f"{out} []" for out in ("json", "md", "csv")] + ["mean []", "quantile=0.5 []"]
 
 
+# Names bench/traced.py wraps that the library no longer has (the benchmark
+# harness's own defect, listed under its repair).
+STALE_TRACE_HOOKS = {("canaudit.audit", "median_threshold"),
+                     ("canaudit.audit", "threshold_attack"),
+                     ("canaudit.audit", "tpr_at_fpr"),
+                     ("canaudit.report", "_monte_carlo_stats")}
+
+
+def test_benchmark_trace_hooks_resolve():
+    # The benchmark's trace times each layer by wrapping these module-level
+    # names, and counts the bytes parse_dataset reads from its "raw" argument.
+    # run_path reads bench/traced.py and writes nothing beside it.
+    traced = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
+    hooks = {(module, attr) for module, attr, _, _ in
+             runpy.run_path(str(traced), run_name="traced")["WRAPPED"]}
+    assert [hook for hook in sorted(hooks - STALE_TRACE_HOOKS)
+            if not hasattr(importlib.import_module(hook[0]), hook[1])] == []
+    assert list(inspect.signature(canaudit.cli.parse_dataset).bind(b"").arguments) == ["raw"]
+
+
 def test_simulate_writes_loadable_file(tmp_path, capsys):
     out_file = tmp_path / "sim.jsonl"
     assert main(["simulate", "--mu", "2", "--m", "10",
                  "--n", "20", "--seed", "3", "--out-file", str(out_file),
                  "--format", "jsonl"]) == 0
-    d = parse_dataset(out_file.read_bytes(), "jsonl")
+    d = parse_dataset(out_file.read_bytes())
     assert d.m == 10 and d.n == 20

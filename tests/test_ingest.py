@@ -18,7 +18,7 @@ from conftest import make_dataset
 
 
 def test_minimal_csv():
-    d = parse_dataset(b"role,loss\ncanary,2.5\nreference,3.1\n", "csv")
+    d = parse_dataset(b"role,loss\ncanary,2.5\nreference,3.1\n")
     assert d.m == 1 and d.n == 1
     assert d.canary_losses[0] == 2.5
     assert d.reference_losses[0] == 3.1
@@ -28,12 +28,12 @@ def test_minimal_csv():
 def test_csv_nan_loss_reports_line_number():
     text = "role,loss\ncanary,2.5\ncanary,NaN\nreference,1.0\n"
     with pytest.raises(DatasetError, match=r"line 3.*non-finite"):
-        parse_dataset(text, "csv")
+        parse_dataset(text)
 
 
 def test_csv_infinite_loss_rejected():
     with pytest.raises(DatasetError, match="non-finite"):
-        parse_dataset("role,loss\ncanary,inf\nreference,1.0\n", "csv")
+        parse_dataset("role,loss\ncanary,inf\nreference,1.0\n")
 
 
 def test_jsonl_mixed_replications_rejected():
@@ -44,74 +44,74 @@ def test_jsonl_mixed_replications_rejected():
     ]
     text = "\n".join(json.dumps(obj) for obj in lines)
     with pytest.raises(DatasetError, match="mixed"):
-        parse_dataset(text, "jsonl")
+        parse_dataset(text)
 
 
 def test_replications_below_one_rejected():
     with pytest.raises(DatasetError, match=r"line 2.*replications"):
-        parse_dataset("role,loss,replications\ncanary,1.0,0\nreference,2.0,1\n", "csv")
+        parse_dataset("role,loss,replications\ncanary,1.0,0\nreference,2.0,1\n")
 
 
 def test_unknown_role_reports_line_number():
     with pytest.raises(DatasetError, match=r"line 2.*role"):
-        parse_dataset("role,loss\nholdout,1.0\n", "csv")
+        parse_dataset("role,loss\nholdout,1.0\n")
 
 
 def test_role_is_case_insensitive():
-    d = parse_dataset("role,loss\nCanary,1.0\nREFERENCE,2.0\n", "csv")
+    d = parse_dataset("role,loss\nCanary,1.0\nREFERENCE,2.0\n")
     assert d.m == 1 and d.n == 1
 
 
 def test_unknown_csv_column_rejected():
     with pytest.raises(DatasetError, match="unknown column"):
-        parse_dataset("role,loss,weight\ncanary,1.0,2\n", "csv")
+        parse_dataset("role,loss,weight\ncanary,1.0,2\n")
 
 
 def test_unknown_jsonl_key_rejected():
     with pytest.raises(DatasetError, match=r"line 1.*unknown keys"):
-        parse_dataset('{"role": "canary", "loss": 1.0, "weight": 2}', "jsonl")
+        parse_dataset('{"role": "canary", "loss": 1.0, "weight": 2}')
 
 
 def test_malformed_csv_row_field_count():
     with pytest.raises(DatasetError, match=r"line 3.*fields"):
-        parse_dataset("role,loss\ncanary,1.0\nreference\n", "csv")
+        parse_dataset("role,loss\ncanary,1.0\nreference\n")
 
 
 def test_malformed_loss_token():
     with pytest.raises(DatasetError, match=r"line 2.*malformed loss"):
-        parse_dataset("role,loss\ncanary,abc\n", "csv")
+        parse_dataset("role,loss\ncanary,abc\n")
 
 
 def test_malformed_jsonl_line():
     with pytest.raises(DatasetError, match=r"line 2.*malformed JSON"):
-        parse_dataset('{"role": "canary", "loss": 1.0}\n{oops', "jsonl")
+        parse_dataset('{"role": "canary", "loss": 1.0}\n{oops')
 
 
 def test_jsonl_boolean_loss_rejected():
     with pytest.raises(DatasetError, match="loss"):
-        parse_dataset('{"role": "canary", "loss": true}', "jsonl")
+        parse_dataset('{"role": "canary", "loss": true}')
 
 
 def test_empty_canary_set_rejected():
     with pytest.raises(DatasetError, match="no canary"):
-        parse_dataset("role,loss\nreference,1.0\n", "csv")
+        parse_dataset("role,loss\nreference,1.0\n")
 
 
 def test_empty_reference_set_rejected():
     with pytest.raises(DatasetError, match="no reference"):
-        parse_dataset("role,loss\ncanary,1.0\n", "csv")
+        parse_dataset("role,loss\ncanary,1.0\n")
 
 
 def test_reference_with_replications_rejected():
     with pytest.raises(DatasetError, match="references must have replications"):
         parse_dataset(
-            "role,loss,replications\ncanary,1.0,2\nreference,2.0,2\n", "csv"
+            "role,loss,replications\ncanary,1.0,2\nreference,2.0,2\n"
         )
 
 
 def test_optional_columns_parsed():
     text = "role,loss,id,replications\ncanary,1.5,c-1,4\nreference,2.5,,\n"
-    d = parse_dataset(text, "csv")
+    d = parse_dataset(text)
     assert d.canary_ids[0] == "c-1"
     assert d.replications == 4
     assert d.reference_ids is None
@@ -119,7 +119,7 @@ def test_optional_columns_parsed():
 
 def test_input_order_preserved():
     text = "role,loss\ncanary,3.0\nreference,9.0\ncanary,1.0\ncanary,2.0\nreference,8.0\n"
-    d = parse_dataset(text, "csv")
+    d = parse_dataset(text)
     assert d.canary_losses.tolist() == [3.0, 1.0, 2.0]
     assert d.reference_losses.tolist() == [9.0, 8.0]
 
@@ -139,7 +139,7 @@ def test_round_trip_identity(format):
         d = make_dataset(rng.normal(size=m), rng.normal(size=n),
                          replications=reps, ids=ids)
         text = serialize_dataset(d, format)
-        assert parse_dataset(text, format) == d
+        assert parse_dataset(text) == d
 
 
 # Every diagnostic ingest can raise, pinned to the byte: (format, input, message).
@@ -179,7 +179,14 @@ ERROR_CASES = [
      "invalid start byte"),
     ("jsonl", '{"role": "canary", "loss": 1.0}\n{oops',
      "line 2: malformed JSON (Expecting property name enclosed in double quotes)"),
-    ("jsonl", "[1, 2]", "line 1: expected a JSON object, got [1, 2]"),
+    ("jsonl", '{"role": "canary", "loss": 1.0}\n[1, 2]',
+     "line 2: expected a JSON object, got [1, 2]"),
+    # json.loads keeps a repeated key's last value; CSV rejects a repeated column too
+    ("jsonl", '{"role": "canary", "role": "reference", "loss": 1.0}',
+     "line 1: duplicate keys in ['role', 'role', 'loss']"),
+    ("jsonl", '{"role": "canary", "loss": 1.0}\n'
+              '{"role": "reference", "loss": 2.0, "lo\\u0073s": 0.5}',
+     "line 2: duplicate keys in ['role', 'loss', 'loss']"),
     ("jsonl", '{"role": "canary", "loss": 1.0, "weight": 2}',
      "line 1: unknown keys ['weight']"),
     ("jsonl", '{"role": "canary"}', "line 1: missing required keys 'role' and 'loss'"),
@@ -279,8 +286,8 @@ def test_replications_of_one_accepted():
     jsonl = ('{"role": "canary", "loss": 1}\n'
              '{"role": "reference", "loss": 2, "replications": 1}\n')
     csv_text = "role,loss,replications\ncanary,1, 1 \nreference,2, 1 \n"
-    for raw, format in ((jsonl, "jsonl"), (csv_text, "csv")):
-        assert parse_dataset(raw, format).replications == 1
+    for raw in (jsonl, csv_text):
+        assert parse_dataset(raw).replications == 1
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -290,14 +297,14 @@ def test_jsonl_lines_end_at_line_feed_only(newline):
     rows = [{"role": "canary", "loss": 1.0, "id": "a\u2028b"},
             {"role": "reference", "loss": 2.0, "id": "a\x85b"}]
     text = "".join(json.dumps(row, ensure_ascii=False) + newline for row in rows)
-    d = parse_dataset(text, "jsonl")
+    d = parse_dataset(text)
     assert d.canary_ids == ("a\u2028b",) and d.reference_ids == ("a\x85b",)
 
 
 @pytest.mark.parametrize("format,raw,message", ERROR_CASES)
 def test_error_messages_are_pinned(format, raw, message):
     with pytest.raises(DatasetError) as exc:
-        parse_dataset(raw, format)
+        parse_dataset(raw)
     assert str(exc.value) == message
 
 
@@ -345,7 +352,7 @@ def test_bulk_reader_probes_later_blocks_for_ties(format):
         with mock.patch.object(ingest, read_block, spy):
             bulk = ingest._read_bulk(text, format)
     assert len(lines) > 9
-    assert _identical(bulk, _line_parse(text, format)) and _identical(bulk, d)
+    assert _identical(bulk, _line_parse(text)) and _identical(bulk, d)
     assert seen[:8] == lines[:8] and seen[8] < lines[8]
 
 
@@ -376,21 +383,22 @@ def test_bulk_reader_skips_empty_lines(format):
             with mock.patch.object(ingest, "_BLOCK_CHARS", 1 << 12):
                 bulk = ingest._read_bulk(text, format)
             assert bulk is not None and _identical(bulk, d)
-            assert _identical(_line_parse(text, format), d)
+            assert _identical(_line_parse(text), d)
 
 
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
 def test_byte_order_mark_is_skipped(format):
     d = make_dataset([1.5, -0.0], [2.5])
     text = serialize_dataset(d, format)
-    assert _identical(parse_dataset("\ufeff" + text, format), d)
-    assert _identical(parse_dataset(("\ufeff" + text).encode("utf-8"), format), d)
-    assert _identical(_line_parse("\ufeff" + text, format), d)
+    assert _identical(parse_dataset("\ufeff" + text), d)
+    assert _identical(parse_dataset(("\ufeff" + text).encode("utf-8")), d)
+    assert _identical(_line_parse("\ufeff" + text), d)
 
 
 def test_parse_rejects_unknown_format():
-    with pytest.raises(ValueError, match="format"):
-        parse_dataset("role,loss\n", "tsv")
+    # the content decides the format: there is no argument to pass
+    with pytest.raises(TypeError):
+        parse_dataset("role,loss\n", "csv")
 
 
 def test_loss_record_invariants():
@@ -463,15 +471,15 @@ def _identical(a, b):
     )
 
 
-def _line_parse(raw, format):
+def _line_parse(raw):
     """parse_dataset with the bulk reader turned off: the line parser alone."""
     with mock.patch.object(ingest, "_read_bulk", lambda text, format: None):
-        return parse_dataset(raw, format)
+        return parse_dataset(raw)
 
 
-def _outcome(parse, raw, format):
+def _outcome(parse, raw):
     try:
-        return parse(raw, format)
+        return parse(raw)
     except DatasetError as exc:
         return str(exc)
 
@@ -545,10 +553,10 @@ jsonl_file = _files(
 )
 
 
-def _check_bulk_matches_line_parser(raw, format):
+def _check_bulk_matches_line_parser(raw):
     with mock.patch.object(ingest, "_BLOCK_CHARS", 64):
-        bulk = _outcome(parse_dataset, raw, format)
-        lines = _outcome(_line_parse, raw, format)
+        bulk = _outcome(parse_dataset, raw)
+        lines = _outcome(_line_parse, raw)
     if isinstance(lines, str) or isinstance(bulk, str):
         assert bulk == lines
     else:
@@ -568,7 +576,7 @@ def _check_bulk_matches_line_parser(raw, format):
 @example("role,loss\n" + "canary,1\n" * 16
          + "canary,1_0\ncanary,1\ncanary,1\nreference,2\n" * 2, False)
 def test_bulk_csv_matches_line_parser(text, as_bytes):
-    _check_bulk_matches_line_parser(text.encode("utf-8") if as_bytes else text, "csv")
+    _check_bulk_matches_line_parser(text.encode("utf-8") if as_bytes else text)
 
 
 @settings(max_examples=400)
@@ -593,4 +601,4 @@ def test_bulk_csv_matches_line_parser(text, as_bytes):
 @example('{"role": "canary", "loss": 1}\n' * 6 + '{"loss": 2, "role": "reference"}\n' * 2
          + '{"role": "reference", "loss": 2}\n', False)
 def test_bulk_jsonl_matches_line_parser(text, as_bytes):
-    _check_bulk_matches_line_parser(text.encode("utf-8") if as_bytes else text, "jsonl")
+    _check_bulk_matches_line_parser(text.encode("utf-8") if as_bytes else text)

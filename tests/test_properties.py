@@ -167,7 +167,7 @@ def _bits(losses):
 @example(make_dataset([1.0, 2.0], [3.0], ids=["", " a"]), "csv")
 @example(make_dataset([1.0], [3.0], ids=["a\rb"]), "csv")
 def test_parse_inverts_serialize_bit_for_bit(d, format):
-    again = parse_dataset(serialize_dataset(d, format), format)
+    again = parse_dataset(serialize_dataset(d, format))
     assert again == d
     assert again.canary_ids == d.canary_ids and again.reference_ids == d.reference_ids
     assert _bits(again.canary_losses) == _bits(d.canary_losses)

@@ -147,4 +147,4 @@ def test_median_exposure_non_decreasing_in_mu():
 def test_simulated_dataset_round_trips_through_files(format):
     d = simulate(GaussianShiftModel(mu=1.5, m=20, n=30, seed=8))
     text = serialize_dataset(d, format)
-    assert parse_dataset(text, format) == d
+    assert parse_dataset(text) == d
