@@ -18,6 +18,7 @@ and ``quantile_p_value`` how unlikely an observed quantile is by chance.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -80,40 +81,49 @@ def exact_baseline(m: int, n: int, q: float | None = None) -> BaselineSummary:
     Under the permutation null of ``quantile_p_value`` the mean exposure
     has mean ``expected_exposure_exact(n)`` and the Dirichlet-multinomial
     variance V (m + n + 1) / (m (n + 2)), V that of one uniform rank's
-    exposure. The q-quantile exposure is that of the k-th smallest rank,
-    k = m - ceil(q m) + 1, whose pmf gives its mean, std and quantiles.
+    exposure: R's at m = k = 1. The q-quantile exposure is that of the k-th
+    smallest rank R, k = m - ceil(q m) + 1, whose CDF ``quantile_p_value``
+    sums. No array grows with n.
     """
     m, n = _positive_integer(m, "m"), _positive_integer(n, "n")
     if q is None:
         asymptotic, mean, quantiles = expected_exposure_asymptote(), expected_exposure_exact(n), {}
-        std = math.sqrt(_exposure(np.arange(1, n + 2), n).var() * (m + n + 1) / (m * (n + 2)))
+        std = _kth_rank_exposure_moments(1, n, 1)[1] * math.sqrt((m + n + 1) / (m * (n + 2)))
     else:
         asymptotic = baseline_quantile_exposure(q)  # checks q
-        pmf = _kth_rank_pmf(m, n, m - math.ceil(q * m) + 1)
-        exposures = _exposure(np.arange(n + 1, 0, -1), n)  # ascending
-        mean = float(pmf @ exposures)
-        std = math.sqrt(pmf @ (exposures - mean) ** 2)
-        # a level within rounding of a cumulative probability reaches it: at
-        # small m + n these are multiples of 1 / C(m + n, m) and can equal it
-        levels = np.searchsorted(np.cumsum(pmf), np.subtract(_NULL_QUANTILES, 1e-12))
-        quantiles = dict(zip(_NULL_QUANTILES, exposures[levels].tolist()))
+        k = m - math.ceil(q * m) + 1
+        mean, std = _kth_rank_exposure_moments(m, n, k)
+        # the largest r with P(R >= r) >= level less 1e-12: at small m + n
+        # a P is a multiple of 1 / C(m + n, m) that can equal a level
+        tail = lambda r: 1.0 - _kth_rank_cdf(m, n, k, r - 1)  # P(R >= r)
+        ranks = [bisect.bisect_left(range(1, n + 2), True, key=lambda r: tail(r) < level - 1e-12)
+                 for level in _NULL_QUANTILES]
+        quantiles = dict(zip(_NULL_QUANTILES, _exposure(np.array(ranks), n).tolist()))
     return BaselineSummary(asymptotic_value=asymptotic, mean=mean, std=std, quantiles=quantiles)
 
 
-def _kth_rank_pmf(m: int, n: int, k: int) -> np.ndarray:
-    """P(R = r) for r = n + 1, n, ..., 1, R the k-th smallest rank of m canaries.
+def _kth_rank_exposure_moments(m: int, n: int, k: int) -> tuple[float, float]:
+    """The mean and std of exposure at R, the k-th smallest rank of m canaries.
 
-    Under the null P(R = r) = C(k + r - 2, k - 1) C(m - k + n - r + 1, m - k) /
-    C(m + n, m). From the mean of R each term is its neighbour's times their
-    ratio, with no lgamma per term; far terms underflow to 0, and the terms
-    are scaled to sum to 1.
+    Each P(R = r) is its neighbour's times their ratio, with no lgamma per
+    term, walked out from R's mean in numpy chunks of 2^16 ranks. A term
+    below the first is past the mode, so the rest of its side is at most
+    n + 1 times it; a side stops once that is below 2^-56 of the sum.
     """
-    r = np.arange(1.0, n + 1)
-    up = (k + r - 1) * (n - r + 1) / (r * (m - k + n - r + 1))  # pmf(r + 1) / pmf(r)
-    i = round(k * n / (m + 1))  # the index of the rank nearest the mean of R
-    pmf = np.concatenate([np.cumprod(up[i:])[::-1], [1.0], np.cumprod(1.0 / up[:i][::-1])])
-    pmf[pmf < 1e-300] = 0.0  # subnormal terms hold no mass but slow every sum over them
-    return pmf / pmf.sum()
+    start = round(k * n / (m + 1)) + 1
+    sums = np.array([1.0, 0.0, 0.0])  # of p, p d, p d^2; p = P(R = r) / P(R = start)
+    for step in (1, -1):
+        term, r = 1.0, float(start)
+        while 1 <= r + step <= n + 1 and term * (n + 1) >= 2.0**-56 * sums[0]:
+            new = np.arange(r + step, np.clip(r + step * 2**16, 1, n + 1) + step, step)
+            low = new - (step == 1)  # P(R = low + 1) / P(R = low), inverted walking down
+            ratios = ((k + low - 1) * (n - low + 1) / (low * (m - k + n - low + 1))) ** step
+            terms = term * np.cumprod(ratios)
+            d = np.log1p((new - start) / start)  # ln(r / start)
+            sums += terms.sum(), terms @ d, terms @ (d * d)
+            term, r = terms[-1], new[-1]
+    mean_d, mean_d2 = (sums[1:] / sums[0]).tolist()
+    return float(_exposure(start, n)) - mean_d / LN2, math.sqrt(mean_d2 - mean_d**2) / LN2
 
 
 def quantile_p_value(ranks, n: int, q: float) -> float:
@@ -136,10 +146,12 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
     if not 1 <= ranks.min() <= ranks.max() <= n + 1:
         raise ValueError(f"ranks must lie in [1, n+1], got {ranks.min()} to {ranks.max()}, n={n}")
     k = m - math.ceil(q * m) + 1
-    r = int(np.partition(ranks, k - 1)[k - 1])
+    return _kth_rank_cdf(m, n, k, int(np.partition(ranks, k - 1)[k - 1]))
+
+
+def _kth_rank_cdf(m: int, n: int, k: int, r: int) -> float:
+    """P(R <= r), R the k-th smallest rank of m canaries, as ``quantile_p_value`` sums it."""
     draws = k + r - 1
-    if draws == m + n:  # every canary is drawn
-        return 1.0
     # pmf(i) = Bin(m, p)(i) Bin(n, p)(draws - i) / Bin(m + n, p)(draws) for
     # any p; p = draws / (m + n) puts all three near their modes
     p = draws / (m + n)

@@ -138,6 +138,37 @@ def comb_quantile_p_value(ranks, n: int, q: float) -> float:
     return hits / comb(m + n, draws)  # int / int rounds correctly
 
 
+def kth_rank_pmf(m: int, n: int, k: int) -> np.ndarray:
+    """P(R = r) for r = n + 1, n, ..., 1, R the k-th smallest rank of m
+    canaries, as one dense array over every rank.
+
+    P(R = r) = C(k + r - 2, k - 1) C(m - k + n - r + 1, m - k) / C(m + n, m).
+    From the mean of R each term is its neighbour's times their ratio; far
+    terms underflow to 0, and the terms are scaled to sum to 1.
+    """
+    r = np.arange(1.0, n + 1)
+    up = (k + r - 1) * (n - r + 1) / (r * (m - k + n - r + 1))  # pmf(r + 1) / pmf(r)
+    i = round(k * n / (m + 1))  # the index of the rank nearest the mean of R
+    pmf = np.concatenate([np.cumprod(up[i:])[::-1], [1.0], np.cumprod(1.0 / up[:i][::-1])])
+    pmf[pmf < 1e-300] = 0.0  # subnormal terms hold no mass but slow every sum over them
+    return pmf / pmf.sum()
+
+
+def dense_exact_baseline(m: int, n: int, q: float | None):
+    """(mean, std, null quantiles) of the mean (q None) or q-quantile exposure
+    under the permutation null, from arrays over all n + 1 ranks."""
+    if q is None:
+        exposures = np.log2(n) - np.log2(np.arange(1, n + 2))
+        std = math.sqrt(exposures.var() * (m + n + 1) / (m * (n + 2)))
+        return float(exposures.mean()), std, {}
+    pmf = kth_rank_pmf(m, n, m - math.ceil(q * m) + 1)
+    exposures = np.log2(n) - np.log2(np.arange(n + 1, 0, -1))  # ascending
+    mean = float(pmf @ exposures)
+    levels = (0.05, 0.25, 0.5, 0.75, 0.95)
+    at = np.searchsorted(np.cumsum(pmf), np.subtract(levels, 1e-12))
+    return mean, math.sqrt(pmf @ (exposures - mean) ** 2), dict(zip(levels, exposures[at].tolist()))
+
+
 def grid_clopper_pearson(k: int, n: int, alpha: float, side: str, step: float = 1e-6):
     """Clopper-Pearson bound located on a uniform p-grid.
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -13,9 +14,10 @@ from canaudit import (
     exposure_quantile,
     quantile_p_value,
 )
-from canaudit.baseline import _kth_rank_pmf, _log_binomial_pmf, _log_tail
+from canaudit.baseline import _log_binomial_pmf, _log_tail
+from canaudit.cli import main
 
-from conftest import comb_quantile_p_value
+from conftest import comb_quantile_p_value, dense_exact_baseline, kth_rank_pmf
 
 
 def summation_oracle(n: int) -> float:
@@ -170,11 +172,46 @@ def test_kth_rank_pmf_matches_quantile_p_value(size, q):
     # P(R <= r) is quantile_p_value of any ranks whose k-th smallest is r; as
     # the pmf is scaled to sum to 1, this also checks that it misses no mass
     m = n = size
-    cdf = np.cumsum(_kth_rank_pmf(m, n, m - math.ceil(q * m) + 1)[::-1])
+    cdf = np.cumsum(kth_rank_pmf(m, n, m - math.ceil(q * m) + 1)[::-1])
     held = np.flatnonzero(cdf >= 1e-9)
     for i in np.unique(np.r_[held[:10], held[::max(1, held.size // 40)], held[-1]]):
         want = quantile_p_value(np.full(m, i + 1), n, q)
         assert cdf[i] == pytest.approx(want, rel=1e-10, abs=0.0), (size, q, i + 1)
+
+
+@pytest.mark.parametrize("m, n", [(30, 50), (400, 100), (10**3, 10**3), (10**4, 10**4),
+                                  (10, 10**5), (10**5, 10**5), (1000, 10**6), (10**6, 10**6)])
+@pytest.mark.parametrize("q", [None, 0.5, 0.75, 0.1234567])
+def test_exact_baseline_matches_dense_pmf(m, n, q):
+    # past n = 1e6 the dense cumprod drifts by itself: 8.9e-13 at m = 10, n = 1e7
+    mean, std, quantiles = dense_exact_baseline(m, n, q)
+    summary = exact_baseline(m, n, q)
+    assert summary.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+    assert summary.std == pytest.approx(std, rel=1e-12, abs=0.0)
+    assert summary.quantiles == quantiles
+
+
+@pytest.mark.parametrize("m, n", [(10, 5), (1000, 10**6)])
+@pytest.mark.parametrize("statistic, q", [("mean", None), ("quantile=0.5", 0.5)])
+def test_exact_baseline_values_are_python_floats(capsys, m, n, statistic, q):
+    summary = exact_baseline(m, n, q)
+    values = [summary.asymptotic_value, summary.mean, summary.std, *summary.quantiles.values()]
+    assert all(type(v) is float for v in values), [type(v) for v in values]
+    assert main(["baseline", "--m", str(m), "--n", str(n), "--statistic", statistic]) == 0
+    assert "np." not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("q", [None, 0.5])
+def test_exact_baseline_memory_does_not_grow_with_n(q):
+    # an array over the 1e7 + 1 ranks alone would take 80 MB
+    m = 1000 if q is None else 10
+    tracemalloc.start()
+    try:
+        exact_baseline(m, 10**7, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 4), (4, 2), (3, 6)])

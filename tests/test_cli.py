@@ -184,8 +184,8 @@ def test_stdout_write_error_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_memory_error_exits_one(capsys, monkeypatch):
-    # baseline --n 1e11 asks numpy for arrays of 745 GiB; raising stands in for
-    # that request, which an overcommitting kernel need not refuse up front
+    # raising stands in for a request for arrays of 745 GiB, which an
+    # overcommitting kernel need not refuse up front
     def exact_baseline(*args):
         raise MemoryError("Unable to allocate 745. GiB for an array with shape "
                           "(100000000001,) and data type int64")
