@@ -41,7 +41,6 @@ from .exposure import (
     ExposureReport,
     exposure_all,
     exposure_of,
-    exposure_quantile,
     rank,
 )
 from .ingest import (
@@ -78,7 +77,6 @@ __all__ = [
     "exact_baseline",
     "exposure_all",
     "exposure_of",
-    "exposure_quantile",
     "expected_exposure_asymptote",
     "expected_exposure_exact",
     "group_privacy_adjust",

@@ -18,7 +18,6 @@ from itertools import chain
 
 import numpy as np
 
-from .exposure import exposure_quantile
 from .ingest import AuditDataset, _csv_text, _real, _sequence, _unit_interval
 
 
@@ -109,7 +108,7 @@ def roc(d: AuditDataset) -> RocCurve:
 def _threshold(canaries: np.ndarray, references: np.ndarray, point) -> float:
     """The threshold of one operating point (see ``operating_points``)."""
     if point == "median":
-        return exposure_quantile(canaries, 0.5)
+        return float(canaries[(canaries.size - 1) // 2])  # the ceil(m/2)-th smallest
     if not isinstance(point, numbers.Real) or isinstance(point, bool):
         raise ValueError(f"operating point must be 'median' or an fpr target, got {point!r}")
     target = float(point)

@@ -223,23 +223,24 @@ def audit_pipeline(
     all. Every bound is ``epsilon_confident`` at its own attack's counts,
     not at the exposure report's ranks. Rows appear in request order, each
     raw row followed, when canaries were replicated, by its per-example row.
-    A target's label is ``fpr_target=`` and the target as ``_spelled`` writes it.
+    A target's label is ``fpr_target=`` and the target as ``_spelled`` writes it;
+    a point whose label an earlier point has is left out, its warning too.
     """
     _unit_interval(confidence, "confidence")
     report = exposure_all(d)
     points = _sequence(operating_points, "operating points")  # labelled and evaluated: read once
-    outcomes, warnings = [], [INDEPENDENCE_NOTICE]
+    outcomes, warnings, labels = [], [INDEPENDENCE_NOTICE], set()
     for op, mi in zip(points, attack.operating_points(d, points)):
-        label = "median"
-        if not isinstance(op, str):  # an fpr target
-            target = float(op)
-            spelled = _spelled(target)
-            label = f"fpr_target={spelled}"
-            if 0.0 < target < 1.0 / d.n:
-                warnings.append(
-                    f"fpr target {spelled} is below the achievable resolution "
-                    f"1/n = {1.0 / d.n:g}; bound computed at achieved fpr {mi.fpr:g}"
-                )
+        target = None if isinstance(op, str) else float(op)
+        label = "median" if target is None else f"fpr_target={_spelled(target)}"
+        if label in labels:
+            continue
+        labels.add(label)
+        if target is not None and 0.0 < target < 1.0 / d.n:
+            warnings.append(
+                f"fpr target {_spelled(target)} is below the achievable resolution "
+                f"1/n = {1.0 / d.n:g}; bound computed at achieved fpr {mi.fpr:g}"
+            )
         bound = epsilon_confident(mi, confidence)
         outcomes.append(AuditOutcome(label, mi, bound))
         if d.replications > 1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exposure import _exposure
+from .exposure import _exposure, _quantile_rank
 from .ingest import _column, _positive_integer, _unit_interval
 
 LN2 = math.log(2.0)
@@ -81,9 +81,9 @@ def exact_baseline(m: int, n: int, q: float | None = None) -> BaselineSummary:
     Under the permutation null of ``quantile_p_value`` the mean exposure
     has mean ``expected_exposure_exact(n)`` and the Dirichlet-multinomial
     variance V (m + n + 1) / (m (n + 2)), V that of one uniform rank's
-    exposure: R's at m = k = 1. The q-quantile exposure is that of the k-th
-    smallest rank R, k = m - ceil(q m) + 1, whose CDF ``quantile_p_value``
-    sums. No array grows with n.
+    exposure: R's at m = k = 1. The q-quantile exposure is that of R, the
+    k-th smallest rank, k from ``_quantile_rank``, whose CDF
+    ``quantile_p_value`` sums. No array grows with n.
     """
     m, n = _positive_integer(m, "m"), _positive_integer(n, "n")
     if q is None:
@@ -91,7 +91,7 @@ def exact_baseline(m: int, n: int, q: float | None = None) -> BaselineSummary:
         std = _kth_rank_exposure_moments(1, n, 1)[1] * math.sqrt((m + n + 1) / (m * (n + 2)))
     else:
         asymptotic = baseline_quantile_exposure(q)  # checks q
-        k = m - math.ceil(q * m) + 1
+        k = _quantile_rank(m, q)
         mean, std = _kth_rank_exposure_moments(m, n, k)
         # the largest r with P(R >= r) >= level less 1e-12: at small m + n
         # a P is a multiple of 1 / C(m + n, m) that can equal a level
@@ -131,8 +131,8 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
 
     With no membership signal the canaries and references are exchangeable,
     so every interleaving of their losses is equally likely. The q-quantile
-    exposure is that of the k-th smallest rank r, k = m - ceil(q*m) + 1, and
-    it is reached exactly when at least k canaries lie among the k + r - 1
+    exposure is that of the k-th smallest rank r, k from ``_quantile_rank``,
+    and it is reached exactly when at least k canaries lie among the k + r - 1
     smallest losses: p = P(Hypergeom(m + n, m, k + r - 1) >= k). Ties only
     raise ranks, so p is conservative on tied losses. The tail is summed
     from its largest term by the ratio of neighbouring terms, with no lgamma
@@ -145,7 +145,7 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
     m = ranks.size
     if not 1 <= ranks.min() <= ranks.max() <= n + 1:
         raise ValueError(f"ranks must lie in [1, n+1], got {ranks.min()} to {ranks.max()}, n={n}")
-    k = m - math.ceil(q * m) + 1
+    k = _quantile_rank(m, q)
     return _kth_rank_cdf(m, n, k, int(np.partition(ranks, k - 1)[k - 1]))
 
 

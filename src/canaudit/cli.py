@@ -36,17 +36,6 @@ def _write(text: str, out_file: str | None) -> None:
         Path(out_file).write_text(text, encoding="utf-8")
 
 
-def _parse_statistic(parser: argparse.ArgumentParser, token: str) -> float | None:
-    if token == "mean":
-        return None
-    if token.startswith("quantile="):
-        try:
-            return float(token.split("=", 1)[1])
-        except ValueError:
-            parser.error(f"malformed quantile in --statistic {token!r}")
-    parser.error(f"--statistic must be 'mean' or 'quantile=Q', got {token!r}")
-
-
 def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _flag_checked(parser, _unit_interval, args.confidence, "--confidence")
     for target in args.fpr_target:
@@ -60,9 +49,8 @@ def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    q = _parse_statistic(parser, args.statistic)
-    summary = _flag_checked(parser, exact_baseline, args.m, args.n, q)
-    name = "mean" if q is None else f"quantile {_spelled(q)}"
+    summary = _flag_checked(parser, exact_baseline, args.m, args.n, args.quantile)
+    name = "mean" if args.quantile is None else f"quantile {_spelled(args.quantile)}"
     print(f"random-guessing baseline for {name} exposure (m={args.m}, n={args.n})")
     print(f"  exact:       {summary.mean!r}")
     print(f"  asymptotic:  {summary.asymptotic_value!r}")
@@ -112,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     baseline.add_argument("--m", type=int, required=True, help="number of canaries")
     baseline.add_argument("--n", type=int, required=True, help="number of references")
-    baseline.add_argument("--statistic", default="mean",
-                          help="'mean' or 'quantile=Q' (default mean)")
+    baseline.add_argument("--quantile", type=float, metavar="Q",
+                          help="baseline of the Q-quantile exposure (default: of the mean)")
     baseline.set_defaults(func=_cmd_baseline)
 
     sim = sub.add_parser("simulate", help="write a synthetic loss file")

@@ -15,7 +15,9 @@ conservative on tied (rounded, bf16) losses: leakage is never
 over-claimed.
 
 ``exposure_all`` returns every canary's rank and exposure as arrays, in
-canary order.
+canary order. Its q-quantile exposures, the p-values of ``quantile_p_value``
+and the null of ``exact_baseline`` all read the one rank that
+``_quantile_rank`` names.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import ceil
 
 import numpy as np
 
-from .ingest import AuditDataset, _column, _real, _unit_interval
+from .ingest import AuditDataset, _column, _real
 
 @dataclass(frozen=True, eq=False)
 class ExposureReport:
@@ -63,16 +65,14 @@ def exposure_of(loss: float, reference_losses) -> float:
     return float(_exposure(rank(loss, reference_losses), len(reference_losses)))
 
 
-def exposure_quantile(exposures, q: float) -> float:
-    """Nearest-rank lower quantile: the ceil(q*m)-th smallest element.
+def _quantile_rank(m: int, q: float) -> int:
+    """k such that the q-quantile exposure of m canaries is their k-th smallest rank's.
 
-    Always returns an actual element of ``exposures``; q = 0.5 gives the
-    lower median.
+    The q-quantile is the nearest-rank one, the ceil(q m)-th smallest
+    exposure, so it is a canary's own; exposure falls as rank rises, so that
+    canary holds the k-th smallest rank, k = m - ceil(q m) + 1.
     """
-    _unit_interval(q, "q")
-    values = _column(exposures, "exposures")
-    k = ceil(q * values.size) - 1
-    return float(np.partition(values, k)[k])
+    return m - ceil(q * m) + 1
 
 
 def exposure_all(d: AuditDataset) -> ExposureReport:
@@ -84,7 +84,9 @@ def exposure_all(d: AuditDataset) -> ExposureReport:
     refs = d.sorted_reference_losses
     ranks = np.searchsorted(refs, d.canary_losses, side="right") + 1
     exposures = _exposure(ranks, refs.size)
-    quantiles = {q: exposure_quantile(exposures, q) for q in (0.5, 0.75)}
+    levels = (0.5, 0.75)
+    at = [_quantile_rank(ranks.size, q) - 1 for q in levels]
+    quantiles = dict(zip(levels, _exposure(np.partition(ranks, at)[at], refs.size).tolist()))
     return ExposureReport(
         ranks=ranks,
         exposures=exposures,

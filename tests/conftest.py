@@ -127,6 +127,12 @@ def binom_cdf(k: int, n: int, p: float) -> float:
     return math.fsum(comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(k + 1))
 
 
+def nearest_rank_quantile(values, q: float) -> float:
+    """The nearest-rank lower q-quantile of ``values``: its ceil(q m)-th
+    smallest element, so q = 0.5 gives the lower median."""
+    return float(sorted(values)[math.ceil(q * len(values)) - 1])
+
+
 def comb_quantile_p_value(ranks, n: int, q: float) -> float:
     """P[k-th smallest canary rank <= observed] over all interleavings of the
     m canaries among the n references, by exact math.comb summation; k is

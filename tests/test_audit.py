@@ -346,6 +346,24 @@ def test_pipeline_labels_near_equal_targets_apart():
     assert warning.startswith("fpr target 0.00100000001 is below")
 
 
+@pytest.mark.parametrize("replications", [1, 2])
+def test_pipeline_reports_a_repeated_point_once(replications):
+    # the first point with a label stays, in request order; 0.1 and
+    # np.float64(0.1) share a label, so they are one point
+    d = make_dataset([1.0, 2.0, 3.0], [0.5, 1.5, 2.5], replications=replications)
+    once = audit_pipeline(d, ["median", 0.1, 0.2])
+    repeated = audit_pipeline(d, ["median", 0.1, "median", np.float64(0.1), 0.2, 0.1])
+    assert repeated.outcomes == once.outcomes
+    assert len(once.outcomes) == 3 * replications
+    assert repeated.warnings == once.warnings
+    assert [w.split(" is ")[0] for w in once.warnings[1:]] == ["fpr target 0.1", "fpr target 0.2"]
+    assert build_report(d, repeated)["parameters"]["operating_points"] == [
+        "median", "fpr_target=0.1", "fpr_target=0.2"]
+    # every point passes its rule first, a repeated one too
+    with pytest.raises(ValueError):
+        audit_pipeline(d, ["median", "median", 1.5])
+
+
 def test_pipeline_reads_a_generator_of_points_once():
     d = make_dataset([1.0, 2.0, 3.0], [0.5, 1.5, 2.5, 3.5])
     points = ("median", 0.5)

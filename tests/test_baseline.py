@@ -11,13 +11,13 @@ from canaudit import (
     expected_exposure_asymptote,
     exact_baseline,
     expected_exposure_exact,
-    exposure_quantile,
     quantile_p_value,
 )
 from canaudit.baseline import _log_binomial_pmf, _log_tail
 from canaudit.cli import main
 
-from conftest import comb_quantile_p_value, dense_exact_baseline, kth_rank_pmf
+from conftest import (comb_quantile_p_value, dense_exact_baseline, kth_rank_pmf,
+                      nearest_rank_quantile)
 
 
 def summation_oracle(n: int) -> float:
@@ -122,7 +122,7 @@ def _interleavings(m, n):
 
 
 def _statistic(exposures, q):
-    return exposures.mean() if q is None else exposure_quantile(exposures, q)
+    return exposures.mean() if q is None else nearest_rank_quantile(exposures, q)
 
 
 @pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 4), (4, 2), (3, 6), (1, 1)])
@@ -136,7 +136,7 @@ def test_exact_baseline_matches_enumeration(m, n, q):
     assert abs(summary.mean - every.mean()) <= 1e-12
     assert abs(summary.std - every.std()) <= 1e-12
     assert summary.quantiles == ({} if q is None else {
-        p: exposure_quantile(every, p) for p in (0.05, 0.25, 0.5, 0.75, 0.95)})
+        p: nearest_rank_quantile(every, p) for p in (0.05, 0.25, 0.5, 0.75, 0.95)})
 
 
 def _permutation_null(m, n, trials, q, seed):
@@ -192,12 +192,13 @@ def test_exact_baseline_matches_dense_pmf(m, n, q):
 
 
 @pytest.mark.parametrize("m, n", [(10, 5), (1000, 10**6)])
-@pytest.mark.parametrize("statistic, q", [("mean", None), ("quantile=0.5", 0.5)])
-def test_exact_baseline_values_are_python_floats(capsys, m, n, statistic, q):
+@pytest.mark.parametrize("q", [None, 0.5])
+def test_exact_baseline_values_are_python_floats(capsys, m, n, q):
     summary = exact_baseline(m, n, q)
     values = [summary.asymptotic_value, summary.mean, summary.std, *summary.quantiles.values()]
     assert all(type(v) is float for v in values), [type(v) for v in values]
-    assert main(["baseline", "--m", str(m), "--n", str(n), "--statistic", statistic]) == 0
+    flags = [] if q is None else ["--quantile", str(q)]
+    assert main(["baseline", "--m", str(m), "--n", str(n), *flags]) == 0
     assert "np." not in capsys.readouterr().out
 
 
@@ -220,7 +221,7 @@ def test_quantile_p_value_matches_enumeration(m, n, q):
     # every interleaving is equally likely under the null; p is the share
     # whose quantile exposure is at least the observed one
     every = list(_interleavings(m, n))
-    stats = [exposure_quantile(np.log2(n) - np.log2(ranks), q) for ranks in every]
+    stats = [nearest_rank_quantile(np.log2(n) - np.log2(ranks), q) for ranks in every]
     for ranks, observed in zip(every, stats):
         expected = sum(s >= observed for s in stats) / len(stats)
         assert abs(quantile_p_value(ranks, n, q) - expected) <= 1e-12

@@ -238,7 +238,7 @@ def test_invalid_flags_exit_two(tmp_path):
         main(["audit", "whatever.csv", "--confidence", "1.5"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["baseline", "--m", "10", "--n", "10", "--statistic", "mode"])
+        main(["baseline", "--m", "10", "--n", "10", "--quantile", "mode"])
     assert exc.value.code == 2
 
 
@@ -249,8 +249,11 @@ def test_invalid_flags_exit_two(tmp_path):
     # the file is absent: flags are checked before it is read
     (["audit", "absent.csv", "--fpr-target", "1.5"], "--fpr-target must be in [0, 1]"),
     (["baseline", "--m", "0", "--n", "3"], "m must be a positive integer"),
-    (["baseline", "--m", "3", "--n", "3", "--statistic", "quantile=x"],
-     "malformed quantile in --statistic 'quantile=x'"),
+    (["baseline", "--m", "3", "--n", "3", "--quantile", "x"],
+     "argument --quantile: invalid float value: 'x'"),
+    # the quantile is a float flag of its own; leaving it out gives the mean
+    (["baseline", "--m", "3", "--n", "3", "--statistic", "quantile=0.5"],
+     "unrecognized arguments: --statistic quantile=0.5"),
     # the baseline is exact: it has no trials to draw and no seed
     (["baseline", "--m", "3", "--n", "3", "--trials", "200", "--seed", "1"],
      "unrecognized arguments: --trials 200 --seed 1"),
@@ -282,7 +285,7 @@ def test_flag_errors_exit_two(tmp_path, monkeypatch, capsys, command, message):
      "mu must be finite and >= 0, got -1.0"),
     (["baseline", "--m", "0", "--n", "3"], "m must be a positive integer, got 0"),
     (["baseline", "--m", "3", "--n", "0"], "n must be a positive integer, got 0"),
-    (["baseline", "--m", "3", "--n", "3", "--statistic", "quantile=1.5"],
+    (["baseline", "--m", "3", "--n", "3", "--quantile", "1.5"],
      "q must be in (0, 1), got 1.5"),
 ])
 def test_flag_rules_exit_two_with_the_library_message(tmp_path, monkeypatch, capsys,
@@ -318,15 +321,16 @@ def test_negative_seed_exits_two_without_traceback(tmp_path):
 
 
 def test_baseline_mean_output(capsys):
-    assert main(["baseline", "--m", "10", "--n", "1000000", "--statistic", "mean"]) == 0
+    assert main(["baseline", "--m", "10", "--n", "1000000"]) == 0
     out = capsys.readouterr().out
+    assert out.startswith("random-guessing baseline for mean exposure (m=10, n=1000000)\n")
     assert "exact" in out and "1.4426" in out
     # the mean's null quantiles have no closed form: only its mean and std print
     assert "exact std:" in out and "quantile" not in out
 
 
 def test_baseline_quantile_output(capsys):
-    assert main(["baseline", "--m", "100", "--n", "100", "--statistic", "quantile=0.75"]) == 0
+    assert main(["baseline", "--m", "100", "--n", "100", "--quantile", "0.75"]) == 0
     out = capsys.readouterr().out
     assert "asymptotic:  2.0" in out and "exact:" in out and "exact std:" in out
     assert [line.split(":")[0].strip() for line in out.splitlines() if "null" in line] == [
@@ -335,11 +339,10 @@ def test_baseline_quantile_output(capsys):
 
 def test_baseline_names_the_quantile_it_computed(capsys):
     # :g would print 0.123457, a quantile the baseline was not computed for
-    for token, name in (("quantile=0.1234567", "quantile 0.1234567"),
-                        ("quantile=0.75", "quantile 0.75")):
-        assert main(["baseline", "--m", "10", "--n", "10", "--statistic", token]) == 0
+    for q in ("0.1234567", "0.75"):
+        assert main(["baseline", "--m", "10", "--n", "10", "--quantile", q]) == 0
         assert capsys.readouterr().out.startswith(
-            f"random-guessing baseline for {name} exposure (m=10, n=10)\n")
+            f"random-guessing baseline for quantile {q} exposure (m=10, n=10)\n")
 
 
 def test_roc_command_stdout(tmp_path, capsys):
@@ -416,15 +419,14 @@ def test_audit_leaves_scipy_unloaded(tmp_path):
             "                     '--fpr-target', '0.001', '--fpr-target', '1']) == 0\n"
             "    assert text.getvalue()\n"
             "    print(out, sorted(name for name in sys.modules if name.startswith('scipy')))\n"
-            "for statistic in ('mean', 'quantile=0.5'):\n"
+            "for flags in ([], ['--quantile', '0.5']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
-            "        assert main(['baseline', '--m', '30', '--n', '40',\n"
-            "                     '--statistic', statistic]) == 0\n"
+            "        assert main(['baseline', '--m', '30', '--n', '40', *flags]) == 0\n"
             "    assert '  exact std:   ' in text.getvalue()\n"
-            "    print(statistic,\n"
+            "    print(' '.join(flags) or 'mean',\n"
             "          sorted(name for name in sys.modules if name.startswith('scipy')))\n")
     assert _run_in_fresh_interpreter(code).splitlines() == [
-        f"{out} []" for out in ("json", "md", "csv")] + ["mean []", "quantile=0.5 []"]
+        f"{out} []" for out in ("json", "md", "csv")] + ["mean []", "--quantile 0.5 []"]
 
 
 # Names bench/traced.py wraps that the library no longer has (the benchmark

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from canaudit import exposure_all, exposure_of, exposure_quantile, rank
+from canaudit import exposure_all, exposure_of, quantile_p_value, rank
+from canaudit.exposure import _quantile_rank
 
-from conftest import brute_exposure, brute_rank, make_dataset, random_instance
+from conftest import (brute_exposure, brute_rank, comb_quantile_p_value, make_dataset,
+                      nearest_rank_quantile, random_instance)
 
 
 def test_rank_below_all_references():
@@ -85,35 +87,22 @@ def test_exposure_all_median_of_three_ranks():
     assert report.quantile_exposures[0.5] == pytest.approx(0.9971849843929466, abs=1e-12)
 
 
-def test_exposure_quantile_examples():
-    assert exposure_quantile([1.0, 2.0, 3.0], 0.5) == 2.0
-    assert exposure_quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
-    assert exposure_quantile([5.0], 0.25) == 5.0
-    assert exposure_quantile([5.0], 0.99) == 5.0
-
-
-def test_exposure_quantile_selects_the_sorted_element():
-    rng = np.random.default_rng(29)
-    for _ in range(200):
-        m = int(rng.integers(1, 60))
-        x = rng.integers(-3, 4, size=m) / 2.0  # few distinct values: many ties
-        q = float(rng.uniform(0.0, 1.0)) or 0.5
-        for quantile in (q, 0.5, 0.75, 1.0 / m if m > 1 else 0.5):
-            want = np.sort(x)[math.ceil(quantile * m) - 1]
-            assert exposure_quantile(x, quantile) == want
-    x = rng.integers(0, 5, size=1001).astype(float)
-    before = x.copy()
-    assert exposure_quantile(x, 0.75) == np.sort(x)[750]
-    assert np.array_equal(x, before)  # the input is left unsorted
-
-
-def test_exposure_quantile_validation():
-    with pytest.raises(ValueError):
-        exposure_quantile([], 0.5)
-    with pytest.raises(ValueError):
-        exposure_quantile([1.0], 0.0)
-    with pytest.raises(ValueError):
-        exposure_quantile([1.0], 1.0)
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 1000])
+@pytest.mark.parametrize("q", [1e-9, 0.1234567, 0.5, 0.75, 1 - 1e-9])
+def test_quantile_rank_reads_the_nearest_rank_quantile(q, m):
+    # the q-quantile exposure is the ceil(q m)-th smallest; the report, the
+    # p-values and the baselines read it at the k-th smallest rank
+    rng = np.random.default_rng(m)
+    n = 6
+    canaries = rng.integers(0, 4, size=m) / 2.0
+    canaries[-1] = canaries[0]  # tied ranks from m = 2 on
+    report = exposure_all(make_dataset(canaries, rng.integers(0, 4, size=n) / 2.0))
+    k = _quantile_rank(m, q)
+    want = nearest_rank_quantile(report.exposures, q)
+    assert report.exposures[np.argsort(report.ranks)[k - 1]] == want
+    assert report.quantile_exposures.get(q, want) == want
+    assert quantile_p_value(report.ranks, n, q) == pytest.approx(
+        comb_quantile_p_value(report.ranks.tolist(), n, q), rel=1e-12, abs=0.0)
 
 
 def test_exposure_monotone_in_loss():
@@ -180,6 +169,6 @@ def test_report_aggregates_are_consistent():
     report = exposure_all(d)
     exposures = report.exposures
     assert report.mean_exposure == float(exposures.mean())
-    assert report.quantile_exposures[0.5] == exposure_quantile(exposures, 0.5)
-    assert report.quantile_exposures[0.75] == exposure_quantile(exposures, 0.75)
+    assert report.quantile_exposures[0.5] == nearest_rank_quantile(exposures, 0.5)
+    assert report.quantile_exposures[0.75] == nearest_rank_quantile(exposures, 0.75)
     assert report.m == d.m and report.n == d.n

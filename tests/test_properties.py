@@ -20,7 +20,6 @@ from canaudit import (
     build_report,
     epsilon_confident,
     exposure_all,
-    exposure_quantile,
     parse_dataset,
     quantile_p_value,
     rank,
@@ -192,7 +191,6 @@ def test_csv_matches_csv_writer_byte_for_byte(d):
 COLUMN_ENTRIES = {
     "AuditDataset": (lambda c: AuditDataset(c, [1.0]).canary_losses, DatasetError, np.float64),
     "rank": (lambda refs: rank(0.5, refs), ValueError, np.float64),
-    "exposure_quantile": (lambda e: exposure_quantile(e, 0.5), ValueError, np.float64),
     "quantile_p_value": (lambda r: quantile_p_value(r, 6, 0.5), ValueError, np.int64),
 }
 column_shapes = st.one_of(hnp.array_shapes(max_dims=1, max_side=6),

@@ -10,7 +10,7 @@ import pytest
 
 from canaudit import (AuditDataset, DatasetError, GaussianShiftModel, analytic_operating_point,
                       audit_pipeline, clopper_pearson, epsilon_from_median_exposure,
-                      epsilon_point, exposure_quantile, group_privacy_adjust, operating_points,
+                      epsilon_point, group_privacy_adjust, operating_points,
                       quantile_p_value, rank, threshold_attack)
 from conftest import make_dataset
 
@@ -57,7 +57,7 @@ def _real_cases():
     """A string or bool where a real number belongs fails the real-number rule,
     inside a range rule too; an fpr target keeps the operating-point wording."""
     entries = {"confidence": (lambda v: audit_pipeline(_D, confidence=v), "0.9"),
-               "q": (lambda v: exposure_quantile([1.0, 2.0], v), "0.9"),
+               "q": (lambda v: quantile_p_value([1, 2], 3, v), "0.9"),
                "alpha": (lambda v: clopper_pearson(1, 10, v, "lower"), "0.9"),
                "tpr": (lambda v: epsilon_point(v, 0.5), "0.9"),
                "threshold": (lambda v: threshold_attack(_D, v), "1.0")}
@@ -122,7 +122,7 @@ def _column_cases():
     for entry, values, name in (
             (lambda c: AuditDataset(c, [1.0]), [True, 1.5], "canary losses"),
             (lambda c: AuditDataset(c, [1.0]), (1.5, np.True_), "canary losses"),
-            (lambda e: exposure_quantile(e, 0.5), [True, 2.0], "exposures"),
+            (lambda r: rank(1.0, r), [True, 2.0], "reference_losses"),
             (lambda r: quantile_p_value(r, 5, 0.5), [True, 2], "ranks")):
         bad = next(value for value in values if isinstance(value, (bool, np.bool_)))
         yield pytest.param(entry, values,
@@ -131,13 +131,13 @@ def _column_cases():
     yield pytest.param(lambda r: rank(1.0, r), ["0.5", "2.0"],
                        "reference_losses must be real numbers, got dtype <U3",
                        id="rank-reference_losses-text")
-    for exposures, message, case in (
-            (["1", "2", True], "exposures must be real numbers, got dtype <U5", "text"),
-            (3.0, "exposures must be 1-D, got shape ()", "scalar"),
-            (np.ones((2, 3)), "exposures must be 1-D, got shape (2, 3)", "2-D"),
-            ([1.0, math.nan, 0.5], "exposures must be finite", "nan")):
-        yield pytest.param(lambda e: exposure_quantile(e, 0.5), exposures, message,
-                           id=f"exposures-{case}")
+    for references, message, case in (
+            (["1", "2", True], "reference_losses must be real numbers, got dtype <U5", "text"),
+            (3.0, "reference_losses must be 1-D, got shape ()", "scalar"),
+            (np.ones((2, 3)), "reference_losses must be 1-D, got shape (2, 3)", "2-D"),
+            ([1.0, math.nan, 0.5], "reference_losses must be finite", "nan")):
+        yield pytest.param(lambda r: rank(1.0, r), references, message,
+                           id=f"reference_losses-{case}")
     for ranks, message, case in (
             (np.array([[1, 2], [3, 4]]), "ranks must be 1-D, got shape (2, 2)", "2-D"),
             ([0, 5, 7], "ranks must lie in [1, n+1], got 0 to 7, n=5", "outside-[1, n+1]")):
