@@ -15,7 +15,6 @@ Run: python demos/03_epsilon_lower_bounds.py
 
 from canaudit import (
     AuditDataset,
-    GaussianShiftModel,
     audit_pipeline,
     epsilon_from_median_exposure,
     simulate,
@@ -47,17 +46,17 @@ def show(d, result, title):
 
 def main():
     # A model that memorized its canaries: canary losses sit 3 standard deviations low.
-    leaky = simulate(GaussianShiftModel(mu=3.0, m=10_000, n=10_000, seed=1))
+    leaky = simulate(mu=3.0, m=10_000, n=10_000, seed=1)
     show(leaky, audit_pipeline(leaky, operating_points=("median", 0.001)), "memorizing model")
 
     # The same audit on a model that learned nothing about its canaries.
-    null = simulate(GaussianShiftModel(mu=0.0, m=10_000, n=10_000, seed=1))
+    null = simulate(mu=0.0, m=10_000, n=10_000, seed=1)
     show(null, audit_pipeline(null, operating_points=("median", 0.001)),
          "null model (no memorization)")
 
     # Duplicated canaries make memorization easier to see, but the
     # certified per-example epsilon divides by the duplication count.
-    strong = simulate(GaussianShiftModel(mu=4.0, m=1000, n=1000, seed=2))
+    strong = simulate(mu=4.0, m=1000, n=1000, seed=2)
     duplicated = AuditDataset(
         canary_losses=strong.canary_losses,
         reference_losses=strong.reference_losses,

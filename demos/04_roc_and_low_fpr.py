@@ -13,7 +13,6 @@ import json
 import numpy as np
 
 from canaudit import (
-    GaussianShiftModel,
     audit_pipeline,
     build_report,
     operating_points,
@@ -24,7 +23,7 @@ from canaudit import (
 
 
 def main():
-    d = simulate(GaussianShiftModel(mu=2.0, m=5000, n=5000, seed=3))
+    d = simulate(mu=2.0, m=5000, n=5000, seed=3)
 
     print("=== ROC sweep (CSV head) ===")
     points = roc(d)

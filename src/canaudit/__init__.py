@@ -51,7 +51,7 @@ from .ingest import (
     serialize_dataset,
 )
 from .report import build_report, render_csv, render_json, render_markdown
-from .simulate import GaussianShiftModel, analytic_operating_point, simulate
+from .simulate import analytic_operating_point, simulate
 
 __all__ = [
     "AuditDataset",
@@ -61,7 +61,6 @@ __all__ = [
     "DatasetError",
     "EpsilonBound",
     "ExposureReport",
-    "GaussianShiftModel",
     "INDEPENDENCE_NOTICE",
     "MIResult",
     "RocCurve",

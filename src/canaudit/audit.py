@@ -239,7 +239,7 @@ def audit_pipeline(
         if target is not None and 0.0 < target < 1.0 / d.n:
             warnings.append(
                 f"fpr target {_spelled(target)} is below the achievable resolution "
-                f"1/n = {1.0 / d.n:g}; bound computed at achieved fpr {mi.fpr:g}"
+                f"1/n = {_spelled(1.0 / d.n)}; bound computed at achieved fpr {_spelled(mi.fpr)}"
             )
         bound = epsilon_confident(mi, confidence)
         outcomes.append(AuditOutcome(label, mi, bound))

@@ -17,7 +17,7 @@ from .audit import _spelled, audit_pipeline
 from .baseline import exact_baseline
 from .ingest import DatasetError, _unit_interval, parse_dataset, serialize_dataset
 from .report import build_report, render_csv, render_json, render_markdown
-from .simulate import GaussianShiftModel, simulate
+from .simulate import simulate
 
 
 def _flag_checked(parser: argparse.ArgumentParser, check, *args, **kwargs):
@@ -61,9 +61,7 @@ def _cmd_baseline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    model = _flag_checked(parser, GaussianShiftModel, mu=args.mu, m=args.m, n=args.n,
-                          seed=args.seed)
-    d = simulate(model)
+    d = _flag_checked(parser, simulate, args.mu, args.m, args.n, args.seed)
     _write(serialize_dataset(d, args.format), args.out_file)
     print(f"wrote {d.m} canaries and {d.n} references to {args.out_file}")
     return 0

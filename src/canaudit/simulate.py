@@ -14,39 +14,34 @@ attack and audit machinery:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import AuditDataset, _non_negative_integer, _positive_integer, _real
 
 
-@dataclass(frozen=True)
-class GaussianShiftModel:
-    """Parameters of the synthetic loss generator."""
-
-    mu: float
-    m: int
-    n: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= _real(self.mu, "mu") < math.inf:
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        _positive_integer(self.m, "m")
-        _positive_integer(self.n, "n")
-        _non_negative_integer(self.seed, "seed")
+def _mu(mu) -> float:
+    """``mu`` as a float, finite and >= 0: the one rule for the shift."""
+    real = _real(mu, "mu")
+    if not 0.0 <= real < math.inf:
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    return real
 
 
-def simulate(model: GaussianShiftModel) -> AuditDataset:
-    """Draw an AuditDataset from the model; deterministic given the seed.
+def simulate(mu: float, m: int, n: int, seed: int) -> AuditDataset:
+    """Draw m canaries from N(-mu, 1) and n references from N(0, 1);
+    deterministic given the seed.
 
     References and canaries use separate child streams of the seed, so the
     canary draws do not depend on n (nor the reference draws on m).
     """
-    ref_seq, can_seq = np.random.SeedSequence(model.seed).spawn(2)
-    references = np.random.default_rng(ref_seq).standard_normal(model.n)
-    canaries = -model.mu + np.random.default_rng(can_seq).standard_normal(model.m)
+    mu = _mu(mu)
+    m = _positive_integer(m, "m")
+    n = _positive_integer(n, "n")
+    seed = _non_negative_integer(seed, "seed")
+    ref_seq, can_seq = np.random.SeedSequence(seed).spawn(2)
+    references = np.random.default_rng(ref_seq).standard_normal(n)
+    canaries = -mu + np.random.default_rng(can_seq).standard_normal(m)
     return AuditDataset(canary_losses=canaries, reference_losses=references)
 
 
@@ -55,9 +50,8 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def analytic_operating_point(
-    model: GaussianShiftModel, threshold: float
-) -> tuple[float, float]:
-    """Population (tpr, fpr) of the threshold attack under the model."""
+def analytic_operating_point(mu: float, threshold: float) -> tuple[float, float]:
+    """Population (tpr, fpr) of the threshold attack under the shift mu."""
+    mu = _mu(mu)
     threshold = _real(threshold, "threshold", finite=True)
-    return _normal_cdf(threshold + model.mu), _normal_cdf(threshold)
+    return _normal_cdf(threshold + mu), _normal_cdf(threshold)

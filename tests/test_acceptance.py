@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from canaudit import (
-    GaussianShiftModel,
     audit_pipeline,
     clopper_pearson,
     epsilon_confident,
@@ -167,7 +166,7 @@ def test_criterion_07_soundness_under_the_null():
     seeds = 500
     positives = 0
     for seed in range(seeds):
-        d = simulate(GaussianShiftModel(mu=0.0, m=1000, n=1000, seed=seed))
+        d = simulate(mu=0.0, m=1000, n=1000, seed=seed)
         mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
         bound = epsilon_confident(mi, 0.95)
         if bound.confident_lower_bound > 0.0:
@@ -186,8 +185,7 @@ def test_criterion_08_power_under_strong_memorization():
     seeds = 100
     hits = 0
     for seed in range(seeds):
-        d = simulate(GaussianShiftModel(mu=3.0, m=10_000, n=10_000,
-                                        seed=10_000 + seed))
+        d = simulate(mu=3.0, m=10_000, n=10_000, seed=10_000 + seed)
         result = audit_pipeline(d, operating_points=("median",), confidence=0.95)
         bound = result.outcomes[0].bound
         if bound.point_estimate > 1.0 and bound.confident_lower_bound > 0.5:
@@ -220,7 +218,7 @@ def test_criterion_09_group_privacy_division():
 
 
 def test_criterion_10_full_audit_performance():
-    d0 = simulate(GaussianShiftModel(mu=1.0, m=100_000, n=100_000, seed=0))
+    d0 = simulate(mu=1.0, m=100_000, n=100_000, seed=0)
     text = serialize_dataset(d0, "csv").encode()
 
     start = time.perf_counter()

@@ -7,7 +7,6 @@ import pytest
 
 from canaudit import (
     INDEPENDENCE_NOTICE,
-    GaussianShiftModel,
     audit_pipeline,
     build_report,
     clopper_pearson,
@@ -190,7 +189,7 @@ def test_clopper_pearson_validation():
 
 
 def test_confident_bound_positive_when_separated():
-    d = simulate(GaussianShiftModel(mu=8.0, m=1000, n=1000, seed=1))
+    d = simulate(mu=8.0, m=1000, n=1000, seed=1)
     mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
     bound = epsilon_confident(mi, 0.95)
     assert bound.confident_lower_bound > 0.0
@@ -228,7 +227,7 @@ def test_confident_bound_records_inputs():
 
 
 def test_confident_bound_non_increasing_in_confidence():
-    d = simulate(GaussianShiftModel(mu=2.0, m=400, n=400, seed=5))
+    d = simulate(mu=2.0, m=400, n=400, seed=5)
     mi = threshold_attack(d, operating_points(d, ["median"])[0].threshold)
     bounds = [
         epsilon_confident(mi, c).confident_lower_bound
@@ -261,14 +260,14 @@ def test_group_privacy_adjust():
 
 
 def test_pipeline_null_data_certifies_nothing():
-    d = simulate(GaussianShiftModel(mu=0.0, m=2001, n=2000, seed=2))
+    d = simulate(mu=0.0, m=2001, n=2000, seed=2)
     result = audit_pipeline(d, operating_points=("median",), confidence=0.95)
     assert result.exposure_report.quantile_exposures[0.5] == pytest.approx(1.0, abs=0.2)
     assert result.outcomes[0].bound.confident_lower_bound == 0.0
 
 
 def test_pipeline_point_estimate_is_internally_consistent():
-    d = simulate(GaussianShiftModel(mu=3.0, m=10_000, n=10_000, seed=3))
+    d = simulate(mu=3.0, m=10_000, n=10_000, seed=3)
     result = audit_pipeline(d, operating_points=("median",))
     outcome = result.outcomes[0]
     by_hand = math.log(outcome.mi.tpr / outcome.mi.fpr)
@@ -285,7 +284,7 @@ def test_pipeline_point_estimate_is_internally_consistent():
 
 
 def test_pipeline_unachievable_fpr_target_warns():
-    d = simulate(GaussianShiftModel(mu=1.0, m=100, n=100, seed=4))
+    d = simulate(mu=1.0, m=100, n=100, seed=4)
     result = audit_pipeline(d, operating_points=("median", 0.001))
     low_fpr = result.outcomes[1]
     assert low_fpr.mi.fpr == 0.0
@@ -314,7 +313,7 @@ def test_pipeline_replications_emit_per_example_bounds():
 def test_pipeline_bound_invariants_across_seeds():
     for seed in range(8):
         mu = 0.5 * seed
-        d = simulate(GaussianShiftModel(mu=mu, m=300, n=300, seed=seed))
+        d = simulate(mu=mu, m=300, n=300, seed=seed)
         result = audit_pipeline(d, operating_points=("median", 0.1, 0.01))
         for outcome in result.outcomes:
             bound = outcome.bound
@@ -346,6 +345,14 @@ def test_pipeline_labels_near_equal_targets_apart():
     assert warning.startswith("fpr target 0.00100000001 is below")
 
 
+def test_resolution_warning_spells_one_over_n_as_the_target():
+    # at n = 3e5, :g would round 1/n to 3.33333e-06
+    d = make_dataset([-1.0], np.arange(300_000, dtype=float))
+    warning = audit_pipeline(d, [1e-6]).warnings[1]
+    assert warning == ("fpr target 1e-06 is below the achievable resolution "
+                       "1/n = 3.3333333333333333e-06; bound computed at achieved fpr 0")
+
+
 @pytest.mark.parametrize("replications", [1, 2])
 def test_pipeline_reports_a_repeated_point_once(replications):
     # the first point with a label stays, in request order; 0.1 and
@@ -373,7 +380,7 @@ def test_pipeline_reads_a_generator_of_points_once():
 
 
 def test_pipeline_accepts_numpy_scalar_targets():
-    d = simulate(GaussianShiftModel(mu=1.0, m=200, n=300, seed=6))
+    d = simulate(mu=1.0, m=200, n=300, seed=6)
     numpy_points = ("median", np.float32(0.5), np.int64(0))
     python_points = ("median", 0.5, 0)
     assert render_json(build_report(d, audit_pipeline(d, numpy_points))) == \

@@ -9,7 +9,6 @@ import pytest
 
 from canaudit import (
     __version__,
-    GaussianShiftModel,
     audit_pipeline,
     build_report,
     exposure_all,
@@ -231,7 +230,7 @@ def test_csv_rendering_parses():
 
 
 def test_markdown_includes_warnings_section():
-    d = simulate(GaussianShiftModel(mu=1.0, m=50, n=100, seed=71))
+    d = simulate(mu=1.0, m=50, n=100, seed=71)
     result = audit_pipeline(d, operating_points=("median", 0.001))
     document = build_report(d, result)
     md = render_markdown(document)

@@ -8,10 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from canaudit import (AuditDataset, DatasetError, GaussianShiftModel, analytic_operating_point,
-                      audit_pipeline, clopper_pearson, epsilon_from_median_exposure,
-                      epsilon_point, group_privacy_adjust, operating_points,
-                      quantile_p_value, rank, threshold_attack)
+from canaudit import (AuditDataset, DatasetError, analytic_operating_point, audit_pipeline,
+                      clopper_pearson, epsilon_from_median_exposure, epsilon_point,
+                      group_privacy_adjust, operating_points, quantile_p_value, rank,
+                      simulate, threshold_attack)
 from conftest import make_dataset
 
 _D = make_dataset([1.0, 2.0], [1.5, 3.0])
@@ -19,10 +19,23 @@ _D = make_dataset([1.0, 2.0], [1.5, 3.0])
 
 def _seed_cases():
     def entry(seed):
-        return GaussianShiftModel(mu=1.0, m=3, n=3, seed=seed)
+        return simulate(mu=1.0, m=3, n=3, seed=seed)
     for seed in (1.5, True, -1):
         yield pytest.param(entry, seed, f"seed must be a non-negative integer, got {seed!r}",
-                           id=f"GaussianShiftModel-seed={seed!r}")
+                           id=f"simulate-seed={seed!r}")
+
+
+def _mu_cases():
+    """The sampler and the population rates read the shift by one rule."""
+    entries = {"simulate": lambda mu: simulate(mu=mu, m=3, n=3, seed=0),
+               "analytic_operating_point": lambda mu: analytic_operating_point(mu, 0.0)}
+    for name, entry in entries.items():
+        for mu in (-1, math.nan, math.inf):
+            yield pytest.param(entry, mu, f"mu must be finite and >= 0, got {mu}",
+                               id=f"{name}-mu={mu!r}")
+        for mu in (True, "1"):
+            yield pytest.param(entry, mu, f"mu must be a real number, got {mu!r}",
+                               id=f"{name}-mu={mu!r}")
 
 
 def _k_cases():
@@ -76,15 +89,14 @@ def _real_cases():
                        "threshold must be within the float range", id="threshold=10**400")
     # the population rates take a threshold by the rule threshold_attack applies
     def analytic(threshold):
-        return analytic_operating_point(GaussianShiftModel(mu=1.0, m=3, n=3, seed=0), threshold)
+        return analytic_operating_point(1.0, threshold)
     for value in ("1", True):
         yield pytest.param(analytic, value, f"threshold must be a real number, got {value!r}",
                            id=f"analytic_operating_point-threshold={value!r}")
     for value in (math.nan, math.inf):
         yield pytest.param(analytic, value, f"threshold must be finite, got {value!r}",
                            id=f"analytic_operating_point-threshold={value!r}")
-    entries = {"mu": lambda v: GaussianShiftModel(mu=v, m=3, n=3, seed=0),
-               "exposure_median": epsilon_from_median_exposure,
+    entries = {"exposure_median": epsilon_from_median_exposure,
                "epsilon": lambda v: group_privacy_adjust(v, 2)}
     for name, entry in entries.items():
         yield pytest.param(entry, True, f"{name} must be a real number, got True",
@@ -146,7 +158,7 @@ def _column_cases():
 
 
 @pytest.mark.parametrize("entry,value,message",
-                         [*_seed_cases(), *_k_cases(), *_n_cases(),
+                         [*_seed_cases(), *_mu_cases(), *_k_cases(), *_n_cases(),
                           *_point_cases(), *_real_cases(), *_column_cases()])
 def test_input_rule_rejects_with_its_one_message(entry, value, message):
     with pytest.raises(ValueError) as exc:

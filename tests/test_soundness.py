@@ -21,7 +21,6 @@ import pytest
 
 from canaudit import (
     AuditDataset,
-    GaussianShiftModel,
     audit_pipeline,
     exposure_all,
     simulate,
@@ -37,7 +36,7 @@ LIMIT = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / SEEDS)
 def test_null_false_certification_rate(replications):
     positives = {}  # row name -> null audits in which that row certified eps > 0
     for seed in range(SEEDS):
-        null = simulate(GaussianShiftModel(mu=0.0, m=1000, n=1000, seed=seed))
+        null = simulate(mu=0.0, m=1000, n=1000, seed=seed)
         d = AuditDataset(null.canary_losses, null.reference_losses,
                          replications=replications)
         result = audit_pipeline(d, OPERATING_POINTS)
@@ -62,7 +61,7 @@ def test_null_p_value_rejection_rate(m, n, decimals):
     # rounded losses tie often; ties raise ranks, so the p-values stay valid
     rejections = {}  # q -> null audits whose quantile row has p <= 0.05
     for seed in range(SEEDS):
-        null = simulate(GaussianShiftModel(mu=0.0, m=m, n=n, seed=seed))
+        null = simulate(mu=0.0, m=m, n=n, seed=seed)
         if decimals is not None:
             null = AuditDataset(np.round(null.canary_losses, decimals),
                                 np.round(null.reference_losses, decimals))
