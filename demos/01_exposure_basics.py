@@ -37,7 +37,7 @@ def main():
 
     report = exposure_all(d)
     for rec_id, loss, r, e, fpr in zip(d.canary_ids, d.canary_losses, report.ranks,
-                                       report.exposures, report.empirical_fprs):
+                                       report.exposures, (report.ranks - 1) / d.n):
         print(f"  {rec_id:<10} loss {loss:+.2f}  rank {r:>5}  "
               f"exposure {e:+.4f}  induced fpr {fpr:.4f}")
     print(f"  mean exposure   {report.mean_exposure:.4f}")

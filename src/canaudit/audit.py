@@ -231,7 +231,7 @@ def audit_pipeline(
     points = _sequence(operating_points, "operating points")  # labelled and evaluated: read once
     outcomes, warnings, labels = [], [INDEPENDENCE_NOTICE], set()
     for op, mi in zip(points, attack.operating_points(d, points)):
-        target = None if isinstance(op, str) else float(op)
+        target = None if isinstance(op, str) else float(op) + 0.0  # -0.0 reads as 0.0
         label = "median" if target is None else f"fpr_target={_spelled(target)}"
         if label in labels:
             continue

@@ -37,15 +37,6 @@ class ExposureReport:
     exposures: np.ndarray
     mean_exposure: float
     quantile_exposures: dict[float, float]
-    n: int
-    m: int
-
-    @property
-    def empirical_fprs(self) -> np.ndarray:
-        """(rank - 1)/n per canary: the fraction of references that a
-        loss-threshold membership test at that canary's loss would
-        classify as training members."""
-        return (self.ranks - 1) / self.n
 
 
 def _exposure(ranks, n: int):
@@ -92,6 +83,4 @@ def exposure_all(d: AuditDataset) -> ExposureReport:
         exposures=exposures,
         mean_exposure=float(exposures.mean()),
         quantile_exposures=quantiles,
-        n=d.n,
-        m=d.m,
     )

@@ -54,14 +54,14 @@ def _histogram(exposures: np.ndarray, n: int) -> dict:
     return {"bin_edges": edges.tolist(), "counts": counts.tolist()}
 
 
-def _baseline_rows(report: ExposureReport) -> list[dict]:
+def _baseline_rows(report: ExposureReport, n: int) -> list[dict]:
     rows = [{"statistic": "mean", "q": None, "observed": report.mean_exposure,
-             "exact": expected_exposure_exact(report.n),
+             "exact": expected_exposure_exact(n),
              "asymptotic": expected_exposure_asymptote(), "p_value": None}]
     for q, observed in report.quantile_exposures.items():
         rows.append({"statistic": "quantile", "q": q, "observed": observed,
                      "exact": None, "asymptotic": baseline_quantile_exposure(q),
-                     "p_value": quantile_p_value(report.ranks, report.n, q)})
+                     "p_value": quantile_p_value(report.ranks, n, q)})
     return rows
 
 
@@ -93,8 +93,8 @@ def build_report(d: AuditDataset, result: AuditResult) -> dict:
                                  if not o.bound.per_example],
         },
         "exposure": {
-            "m": report.m,
-            "n": report.n,
+            "m": d.m,
+            "n": d.n,
             "mean_exposure": report.mean_exposure,
             "quantile_exposures": {str(q): v for q, v in report.quantile_exposures.items()},
             "epsilon_from_median_exposure": epsilon_from_median_exposure(
@@ -102,7 +102,7 @@ def build_report(d: AuditDataset, result: AuditResult) -> dict:
             "per_canary": {"id": None if d.canary_ids is None else list(d.canary_ids),
                            "rank": report.ranks.tolist()},
         },
-        "baselines": _baseline_rows(report),
+        "baselines": _baseline_rows(report, d.n),
         "epsilon_bounds": _bound_rows(result),
         "warnings": list(result.warnings),
         "histogram": _histogram(report.exposures, d.n),
@@ -128,8 +128,8 @@ def _cell(text: str) -> str:
 
 def _canary_columns(document: dict, rows: int | None = None):
     """index, id, rank, exposure and empirical_fpr of the first ``rows`` canaries (all
-    if None); index and id are endless. ``_exposure`` of the int64 ranks and int/int
-    division give the doubles of ``ExposureReport.exposures`` and ``empirical_fprs``."""
+    if None); index and id are endless. ``_exposure`` of the int64 ranks gives the doubles
+    of ``ExposureReport.exposures``; int/int (rank - 1)/n is the one empirical FPR."""
     ranks = list(itertools.islice(document["exposure"]["per_canary"]["rank"], rows))
     n = document["exposure"]["n"]
     ids = document["exposure"]["per_canary"]["id"] or itertools.repeat(None)

@@ -371,6 +371,14 @@ def test_pipeline_reports_a_repeated_point_once(replications):
         audit_pipeline(d, ["median", "median", 1.5])
 
 
+def test_pipeline_labels_negative_zero_as_zero():
+    # -0.0 and 0.0 select one point, so they share the label fpr_target=0
+    d = make_dataset([1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
+    for points in (["median", 0.0, -0.0], ["median", -0.0, 0.0]):
+        labels = [o.operating_point for o in audit_pipeline(d, points).outcomes]
+        assert labels == ["median", "fpr_target=0"]
+
+
 def test_pipeline_reads_a_generator_of_points_once():
     d = make_dataset([1.0, 2.0, 3.0], [0.5, 1.5, 2.5, 3.5])
     points = ("median", 0.5)

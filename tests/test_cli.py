@@ -88,6 +88,15 @@ def test_audit_warns_on_unachievable_fpr_target(tmp_path, capsys):
     assert row["fpr"] == 0.0
 
 
+def test_audit_prints_negative_zero_target_once(tmp_path, capsys):
+    d = make_dataset([1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
+    path = _write_dataset(tmp_path, d)
+    assert main(["audit", path, "--fpr-target", "-0", "--fpr-target", "0", "--out", "md"]) == 0
+    md = capsys.readouterr().out
+    assert md.count("| fpr_target=0 |") == 1
+    assert "fpr_target=-0" not in md
+
+
 def test_audit_markdown_and_csv_outputs(tmp_path, capsys):
     import numpy as np
 

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from canaudit import exposure_all, exposure_of, quantile_p_value, rank
+from canaudit import ExposureReport, exposure_all, exposure_of, quantile_p_value, rank
 from canaudit.exposure import _quantile_rank
 
 from conftest import (brute_exposure, brute_rank, comb_quantile_p_value, make_dataset,
@@ -131,12 +132,13 @@ def test_exposure_all_matches_brute_force():
     for _ in range(100):
         d = random_instance(rng)
         report = exposure_all(d)
+        fprs = (report.ranks - 1) / d.n
         refs = d.reference_losses.tolist()
         for i, loss in enumerate(d.canary_losses.tolist()):
             rank = int(report.ranks[i])
             assert rank == brute_rank(loss, refs)
             assert report.exposures[i] == brute_exposure(loss, refs)
-            assert report.empirical_fprs[i] == (rank - 1) / d.n
+            assert fprs[i] == (rank - 1) / d.n
 
 
 def test_exposure_fpr_identity():
@@ -146,7 +148,7 @@ def test_exposure_fpr_identity():
         d = random_instance(rng)
         report = exposure_all(d)
         for rank, exposure, fpr in zip(report.ranks.tolist(), report.exposures.tolist(),
-                                       report.empirical_fprs.tolist()):
+                                       ((report.ranks - 1) / d.n).tolist()):
             if rank < 2:
                 continue
             gap = abs(exposure - math.log2(1.0 / fpr))
@@ -171,4 +173,16 @@ def test_report_aggregates_are_consistent():
     assert report.mean_exposure == float(exposures.mean())
     assert report.quantile_exposures[0.5] == nearest_rank_quantile(exposures, 0.5)
     assert report.quantile_exposures[0.75] == nearest_rank_quantile(exposures, 0.75)
-    assert report.m == d.m and report.n == d.n
+
+
+def test_report_holds_ranks_exposures_and_aggregates_only():
+    # m and n are the dataset's; the empirical FPR is (rank - 1)/n of its ranks
+    assert [f.name for f in dataclasses.fields(ExposureReport)] == [
+        "ranks", "exposures", "mean_exposure", "quantile_exposures"]
+    report = exposure_all(make_dataset([1.0, 2.0], [0.5, 1.5, 2.5]))
+    assert not hasattr(report, "empirical_fprs")
+    fields = dict(ranks=report.ranks, exposures=report.exposures, mean_exposure=0.0,
+                  quantile_exposures={})
+    for extra in ({"m": 2}, {"n": 3}):
+        with pytest.raises(TypeError):
+            ExposureReport(**fields, **extra)

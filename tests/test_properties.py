@@ -115,15 +115,18 @@ def test_quantile_p_value_falls_as_canary_losses_fall(canaries, references, q, d
 @example([float(loss) for loss in range(25)], [0.5, 10.5])
 def test_rendered_exposures_are_the_arrays_bits(canaries, references):
     # the JSON stores ranks only; the Markdown (its first 20 rows) and the
-    # CSV (every row) derive each exposure
+    # CSV (every row) derive each exposure, and the CSV each empirical FPR
     d = make_dataset(canaries, references)
-    exposures = exposure_all(d).exposures.tolist()
+    report = exposure_all(d)
+    exposures = report.exposures.tolist()
     document = build_report(d, audit_pipeline(d))
     md = render_markdown(document)
     md_rows = md[md.index("## Per-canary exposure"):].splitlines()[4:4 + min(d.m, 20)]
     assert [row.split(" | ")[3] for row in md_rows] == [json.dumps(e) for e in exposures[:20]]
     csv_rows = list(csv.reader(io.StringIO(render_csv(document))))[1:]
     assert [row[4] for row in csv_rows] == [repr(e) for e in exposures]
+    assert [row[5] for row in csv_rows] == [repr((rank - 1) / d.n)
+                                            for rank in report.ranks.tolist()]
 
 
 @given(st.integers(1, 2000), st.integers(1, 2000), st.data(),

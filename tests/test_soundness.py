@@ -65,7 +65,7 @@ def test_null_p_value_rejection_rate(m, n, decimals):
         if decimals is not None:
             null = AuditDataset(np.round(null.canary_losses, decimals),
                                 np.round(null.reference_losses, decimals))
-        for row in _baseline_rows(exposure_all(null)):
+        for row in _baseline_rows(exposure_all(null), null.n):
             if row["p_value"] is not None:
                 rejections[row["q"]] = rejections.get(row["q"], 0) + (row["p_value"] <= 0.05)
 
