@@ -111,8 +111,7 @@ def _threshold(canaries: np.ndarray, references: np.ndarray, point) -> float:
         return float(canaries[(canaries.size - 1) // 2])  # the ceil(m/2)-th smallest
     if not isinstance(point, numbers.Real) or isinstance(point, bool):
         raise ValueError(f"operating point must be 'median' or an fpr target, got {point!r}")
-    target = float(point)
-    _unit_interval(target, "fpr target", closed=True)
+    target = _unit_interval(point, "fpr target", closed=True)
     n = references.size
     # k: the most references a point may catch, i.e. the largest k with
     # k / n <= target, compared in float as fpr is.

@@ -88,8 +88,8 @@ def epsilon_point(tpr: float, fpr: float) -> float:
     ratio), -inf when tpr = 0 with fpr > 0, and 0 when both rates are
     zero. Negative values are reported as-is.
     """
-    _unit_interval(tpr, "tpr", closed=True)
-    _unit_interval(fpr, "fpr", closed=True)
+    tpr = _unit_interval(tpr, "tpr", closed=True)
+    fpr = _unit_interval(fpr, "fpr", closed=True)
     if fpr == 0.0:
         return math.inf if tpr > 0.0 else 0.0
     if tpr == 0.0:
@@ -167,7 +167,7 @@ def clopper_pearson(k: int, trials: int, alpha: float, side: str) -> float:
     k = _non_negative_integer(k, "k")
     if k > trials:
         raise ValueError(f"k must be in [0, trials], got k={k}, trials={trials}")
-    _unit_interval(alpha, "alpha")
+    alpha = _unit_interval(alpha, "alpha")
     if side == "lower":
         return 0.0 if k == 0 else _binomial_tail_root(k, trials, alpha, ge=True)
     if side == "upper":
@@ -182,7 +182,7 @@ def epsilon_confident(mi: MIResult, confidence: float) -> EpsilonBound:
     Clopper-Pearson bound on TPR and an upper one on FPR; the certified
     bound is max(0, ln(tpr_lower / fpr_upper)).
     """
-    _unit_interval(confidence, "confidence")
+    confidence = _unit_interval(confidence, "confidence")
     side_alpha = (1.0 - confidence) / 2.0
     tpr_lower = clopper_pearson(mi.canary_hits, mi.m, side_alpha, "lower")
     fpr_upper = clopper_pearson(mi.reference_hits, mi.n, side_alpha, "upper")
@@ -196,9 +196,10 @@ def epsilon_confident(mi: MIResult, confidence: float) -> EpsilonBound:
 def group_privacy_adjust(epsilon: float, replications: int) -> float:
     """Per-example epsilon when a canary was duplicated ``replications`` times."""
     replications = _positive_integer(replications, "replications")
-    if not _real(epsilon, "epsilon") >= 0.0:
+    real = _real(epsilon, "epsilon")
+    if not real >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    return epsilon / replications
+    return real / replications
 
 
 def _per_example(bound: EpsilonBound, k: int) -> EpsilonBound:
@@ -226,7 +227,7 @@ def audit_pipeline(
     A target's label is ``fpr_target=`` and the target as ``_spelled`` writes it;
     a point whose label an earlier point has is left out, its warning too.
     """
-    _unit_interval(confidence, "confidence")
+    confidence = _unit_interval(confidence, "confidence")
     report = exposure_all(d)
     points = _sequence(operating_points, "operating points")  # labelled and evaluated: read once
     outcomes, warnings, labels = [], [INDEPENDENCE_NOTICE], set()

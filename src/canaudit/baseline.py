@@ -70,7 +70,7 @@ def baseline_quantile_exposure(q: float) -> float:
     ranked canaries, so the median baseline is 1 and the 0.75 quantile
     baseline is 2. Below q = 0.5, where 1 - q rounds, log1p keeps the digits.
     """
-    _unit_interval(q, "q")
+    q = _unit_interval(q, "q")
     return -math.log1p(-q) / LN2 if q < 0.5 else -math.log2(1.0 - q)
 
 
@@ -90,8 +90,8 @@ def exact_baseline(m: int, n: int, q: float | None = None) -> BaselineSummary:
         asymptotic, mean, quantiles = expected_exposure_asymptote(), expected_exposure_exact(n), {}
         std = _kth_rank_exposure_moments(1, n, 1)[1] * math.sqrt((m + n + 1) / (m * (n + 2)))
     else:
-        asymptotic = baseline_quantile_exposure(q)  # checks q
-        k = _quantile_rank(m, q)
+        q = _unit_interval(q, "q")
+        asymptotic, k = baseline_quantile_exposure(q), _quantile_rank(m, q)
         mean, std = _kth_rank_exposure_moments(m, n, k)
         # the largest r with P(R >= r) >= level less 1e-12: at small m + n
         # a P is a multiple of 1 / C(m + n, m) that can equal a level
@@ -139,7 +139,7 @@ def quantile_p_value(ranks, n: int, q: float) -> float:
     per term, until the rest cannot change the double result, so the cost
     is O(sd) terms, not O(m + n); a p below the smallest float reads 0.
     """
-    _unit_interval(q, "q")
+    q = _unit_interval(q, "q")
     n = _positive_integer(n, "n")
     ranks = _column(ranks, "ranks", integer=True)
     m = ranks.size

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from canaudit import (
     group_privacy_adjust,
     operating_points,
     render_json,
+    render_markdown,
     simulate,
     threshold_attack,
 )
@@ -257,6 +259,10 @@ def test_group_privacy_adjust():
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="epsilon must be >= 0"):
             group_privacy_adjust(bad, 2)
+    # the rule's float is what is divided, whatever real type came in
+    for epsilon, k in ((Fraction(1, 2), 2), (np.float32(1.0), 3)):
+        adjusted = group_privacy_adjust(epsilon, k)
+        assert type(adjusted) is float and adjusted == float(epsilon) / k
 
 
 def test_pipeline_null_data_certifies_nothing():
@@ -393,6 +399,20 @@ def test_pipeline_accepts_numpy_scalar_targets():
     python_points = ("median", 0.5, 0)
     assert render_json(build_report(d, audit_pipeline(d, numpy_points))) == \
         render_json(build_report(d, audit_pipeline(d, python_points)))
+
+
+def test_pipeline_reads_confidence_as_a_float():
+    # the report holds the float the rule accepted, so both renderers write it
+    d = simulate(mu=1.0, m=200, n=300, seed=6)
+    for confidence in (np.float32(0.95), np.float16(0.95), Fraction(19, 20)):
+        result = audit_pipeline(d, confidence=confidence)
+        assert type(result.confidence) is float and result.confidence == float(confidence)
+        document = build_report(d, result)
+        assert json.loads(render_json(document))["parameters"]["confidence"] == float(confidence)
+        assert render_markdown(document)
+    python = build_report(d, audit_pipeline(d, confidence=0.95))
+    assert render_json(build_report(d, audit_pipeline(d, confidence=Fraction(19, 20)))) == \
+        render_json(python)
 
 
 def test_pipeline_rejects_bad_operating_point():

@@ -11,6 +11,7 @@ from canaudit import (
     dataset_summary,
     ingest,
     parse_dataset,
+    rank,
     serialize_dataset,
 )
 
@@ -27,12 +28,12 @@ def test_minimal_csv():
 
 def test_csv_nan_loss_reports_line_number():
     text = "role,loss\ncanary,2.5\ncanary,NaN\nreference,1.0\n"
-    with pytest.raises(DatasetError, match=r"line 3.*non-finite"):
+    with pytest.raises(DatasetError, match=r"line 3: loss must be finite"):
         parse_dataset(text)
 
 
 def test_csv_infinite_loss_rejected():
-    with pytest.raises(DatasetError, match="non-finite"):
+    with pytest.raises(DatasetError, match="loss must be finite"):
         parse_dataset("role,loss\ncanary,inf\nreference,1.0\n")
 
 
@@ -154,12 +155,12 @@ ERROR_CASES = [
     ("csv", "role,loss\nholdout,1.0\n", "line 2: unknown role 'holdout'"),
     ("csv", "role,loss\ncanary,abc\n", "line 2: malformed loss 'abc'"),
     ("csv", "role,loss\ncanary,2.5\ncanary,NaN\nreference,1.0\n",
-     "line 3: non-finite loss 'NaN'"),
-    ("csv", "role,loss\ncanary,-inf\nreference,1.0\n", "line 2: non-finite loss '-inf'"),
+     "line 3: loss must be finite, got nan"),
+    ("csv", "role,loss\ncanary,-inf\nreference,1.0\n", "line 2: loss must be finite, got -inf"),
     ("csv", "role,loss,replications\ncanary,1.0,x\nreference,2.0,\n",
      "line 2: malformed replications 'x'"),
     ("csv", "role,loss,replications\ncanary,1.0,0\nreference,2.0,1\n",
-     "line 2: replications must be >= 1, got 0"),
+     "line 2: replications must be a positive integer, got 0"),
     ("csv", "role,loss,replications\ncanary,1.0,2\nreference,2.0,2\n",
      "line 3: references must have replications = 1, got 2"),
     ("csv", "role,loss\nreference,1.0\n",
@@ -192,11 +193,11 @@ ERROR_CASES = [
     ("jsonl", '{"role": "canary"}', "line 1: missing required keys 'role' and 'loss'"),
     ("jsonl", '{"role": 1, "loss": 1.0}', "line 1: role must be a string, got 1"),
     ("jsonl", '{"role": "holdout", "loss": 1.0}', "line 1: unknown role 'holdout'"),
-    ("jsonl", '{"role": "canary", "loss": true}', "line 1: loss must be a number, got True"),
+    ("jsonl", '{"role": "canary", "loss": true}', "line 1: loss must be a real number, got True"),
     ("jsonl", '{"role": "canary", "loss": "abc"}', "line 1: malformed loss 'abc'"),
-    ("jsonl", '{"role": "canary", "loss": null}', "line 1: malformed loss None"),
-    ("jsonl", '{"role": "canary", "loss": NaN}', "line 1: non-finite loss nan"),
-    ("jsonl", '{"role": "canary", "loss": 1e400}', "line 1: non-finite loss inf"),
+    ("jsonl", '{"role": "canary", "loss": null}', "line 1: loss must be a real number, got None"),
+    ("jsonl", '{"role": "canary", "loss": NaN}', "line 1: loss must be finite, got nan"),
+    ("jsonl", '{"role": "canary", "loss": 1e400}', "line 1: loss must be finite, got inf"),
     ("jsonl", '{"role": "canary", "loss": 1.0, "id": 5}', "line 1: id must be a string, got 5"),
     # UTF-8 cannot encode a lone surrogate, so no Markdown or CSV report could write it
     ("jsonl", '{"role": "canary", "loss": 1.0, "id": "\\ud800"}',
@@ -204,11 +205,11 @@ ERROR_CASES = [
     ("csv", "role,loss,id\ncanary,1.0,a\udfffb\n",
      "line 2: id must not hold a lone surrogate, got 'a\\udfffb'"),
     ("jsonl", '{"role": "canary", "loss": 1.0, "replications": true}',
-     "line 1: replications must be an integer, got True"),
+     "line 1: replications must be a positive integer, got True"),
     ("jsonl", '{"role": "canary", "loss": 1.0, "replications": "x"}',
      "line 1: malformed replications 'x'"),
     ("jsonl", '{"role": "canary", "loss": 1.0, "replications": 0}',
-     "line 1: replications must be >= 1, got 0"),
+     "line 1: replications must be a positive integer, got 0"),
     ("jsonl", '{"role": "canary", "loss": 1.0}\n'
               '{"role": "reference", "loss": 2.0, "replications": 2}',
      "line 2: references must have replications = 1, got 2"),
@@ -225,7 +226,7 @@ ERROR_CASES = [
      "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xc3 in position 39: "
      "invalid continuation byte"),
     ("jsonl", '{"role": "canary", "loss": 1.0}\n{"role": "reference", "loss": 1%s}'
-              % ("0" * 400), "line 2: loss 1%s out of float range" % ("0" * 400)),
+              % ("0" * 400), "line 2: loss must be within the float range"),
     ("jsonl", '{"role": "canary", "loss": 1%s}' % ("0" * 5000),
      "line 1: Exceeds the limit (4300 digits) for integer string conversion: "
      "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
@@ -233,9 +234,9 @@ ERROR_CASES = [
      "line 1: maximum recursion depth exceeded while decoding a JSON array "
      "from a unicode string"),
     ("jsonl", '{"role": "canary", "loss": 1.0, "replications": 2.7}',
-     "line 1: replications must be an integer, got 2.7"),
+     "line 1: replications must be a positive integer, got 2.7"),
     ("jsonl", '{"role": "canary", "loss": 1.0, "replications": 2.0}',
-     "line 1: replications must be an integer, got 2.0"),
+     "line 1: replications must be a positive integer, got 2.0"),
     ("csv", "role,loss\ncanary,1.0\nreference,0.%s1\n" % ("0" * 131072),
      "line 3: field larger than field limit (131072)"),
     ("csv", "role,loss\ncanary,1.0\rreference,2.0\n",
@@ -249,12 +250,12 @@ ERROR_CASES = [
     # replications that equal 1 but are no plain integer still get the full check
     ("jsonl", '{"role": "canary", "loss": 1}\n'
               '{"role": "reference", "loss": 2, "replications": 1.0}',
-     "line 2: replications must be an integer, got 1.0"),
+     "line 2: replications must be a positive integer, got 1.0"),
     ("jsonl", '{"role": "canary", "loss": 1}\n'
               '{"role": "reference", "loss": 2, "replications": true}',
-     "line 2: replications must be an integer, got True"),
+     "line 2: replications must be a positive integer, got True"),
     ("jsonl", '{"role": "canary", "loss": 1, "replications": null}',
-     "line 1: malformed replications None"),
+     "line 1: replications must be a positive integer, got None"),
     # an empty first line is the CSV header, never an empty line to skip
     ("csv", "\nrole,loss\ncanary,1.0\nreference,2.0\n",
      "header: expected leading columns role,loss, got []"),
@@ -262,9 +263,14 @@ ERROR_CASES = [
      "header: expected leading columns role,loss, got []"),
     # skipped empty lines still count in the line numbers of errors
     ("csv", "role,loss\n\ncanary,1.0\n\ncanary,NaN\nreference,1.0\n",
-     "line 5: non-finite loss 'NaN'"),
+     "line 5: loss must be finite, got nan"),
     ("jsonl", '{"role": "canary", "loss": 1.0}\r\n\r\n{"role": "reference", "loss": x}\r\n',
      "line 3: malformed JSON (Expecting value)"),
+    # a line of whitespace that JSON does not skip (space, tab and "\r" are
+    # all it skips) is a malformed line, not an empty one
+    *(("jsonl", '{"role": "canary", "loss": 1.0}\n%s\n{"role": "reference", "loss": 2.0}'
+       % space, "line 2: malformed JSON (Expecting value)")
+      for space in ("\f", "\v", "\u00a0", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f")),
     # float() and int() read a digit-group "_" and non-ASCII digits; a number
     # in a file is plain ASCII, with no "_"
     ("csv", "role,loss\ncanary,1_0\nreference,2.0\n", "line 2: malformed loss '1_0'"),
@@ -312,6 +318,58 @@ def test_error_messages_are_pinned(format, raw, message):
                          [case for case in ERROR_CASES if isinstance(case[1], str)])
 def test_bulk_reader_defers_on_every_error(format, raw, message):
     assert ingest._read_bulk(raw, format) is None
+
+
+# (field, value, the value in JSON, the value in CSV or None): a CSV cell is
+# text, and its text rule reads a loss as a float and replications as an int,
+# so it cannot spell a bool, a null, a fraction of a count or a huge integer loss.
+FIELD_VALUES = [
+    ("replications", 0, "0", "0"),
+    ("replications", -3, "-3", "-3"),
+    ("replications", 2.7, "2.7", None),
+    ("replications", True, "true", None),
+    ("replications", None, "null", None),
+    ("loss", True, "true", None),
+    ("loss", None, "null", None),
+    ("loss", float("nan"), "NaN", "NaN"),
+    ("loss", float("inf"), "1e400", "1e400"),
+    ("loss", 10 ** 400, "1" + "0" * 400, None),
+]
+
+
+def _in_memory_message(field, value):
+    with pytest.raises(ValueError) as exc:
+        if field == "loss":
+            rank(value, [1.0])
+        else:
+            AuditDataset([1.0], [2.0], replications=value)
+    return str(exc.value)
+
+
+def _file_with(field, format, text):
+    """A file whose line 2 is a canary with ``text`` as its ``field``."""
+    if format == "csv":
+        return (f"role,loss,replications\ncanary,1.0,{text}\nreference,2.0,\n"
+                if field == "replications" else f"role,loss\ncanary,{text}\nreference,2.0\n")
+    fields = f'"loss": 1.0, "replications": {text}' if field == "replications" else f'"loss": {text}'
+    return f'{{"role": "reference", "loss": 2.0}}\n{{"role": "canary", {fields}}}\n'
+
+
+@pytest.mark.parametrize("field,value,format,text", [
+    pytest.param(field, value, format, text, id=f"{field}-{format}-{text[:8]}")
+    for field, value, *texts in FIELD_VALUES
+    for format, text in zip(("jsonl", "csv"), texts) if text is not None
+])
+def test_file_fields_follow_the_in_memory_rules(field, value, format, text):
+    with pytest.raises(DatasetError) as exc:
+        parse_dataset(_file_with(field, format, text))
+    assert str(exc.value) == "line 2: " + _in_memory_message(field, value)
+
+
+def test_jsonl_skips_lines_of_json_whitespace():
+    text = ('{"role": "canary", "loss": 1.0}\n \t\n\t\r\n\n'
+            '{"role": "reference", "loss": 2.0}\n')
+    assert _line_parse(text) == make_dataset([1.0], [2.0])
 
 
 def test_bulk_reader_reads_plain_files():
